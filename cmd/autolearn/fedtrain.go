@@ -219,16 +219,8 @@ func cmdFedTrain(args []string) error {
 // along — it registers the head's checkpoint as soon as the first
 // cloud sync lands one (under a cloud partition that may be never, and
 // the run carries on regardless).
-func runGossipTrain(gcfg gossip.Config, fdeps fed.Deps, pcfg pilot.Config,
+func runGossipTrain(gcfg gossip.Config, deps gossip.Deps, pcfg pilot.Config,
 	shards [][]pilot.Sample, val []pilot.Sample, rt *scenario.Runtime, of obsFlags) error {
-	deps := gossip.Deps{
-		Net:   fdeps.Net,
-		Hub:   fdeps.Hub,
-		Store: fdeps.Store,
-		Plan:  fdeps.Plan,
-		Obs:   fdeps.Obs,
-		Start: fdeps.Start,
-	}
 	var reloads int
 	if gcfg.Container != "" && deps.Store != nil {
 		sreg, err := serve.NewRegistry(deps.Store, gcfg.Container)

@@ -177,21 +177,21 @@ func TestTopKResidualShapeMismatch(t *testing.T) {
 // fix: the accumulator allocated for one model shape must be replaced, not
 // returned, once the delta shape changes.
 func TestResidualForResetsOnShapeChange(t *testing.T) {
-	w := &worker{}
+	w := &Worker{}
 	c := topKCodec{frac: 0.5}
-	first := w.residualFor(c, [][]float64{{1, 2}, {3}})
+	first := w.ResidualFor(c, [][]float64{{1, 2}, {3}})
 	first[0][0] = 0.25
-	if got := w.residualFor(c, [][]float64{{1, 2}, {3}}); got[0][0] != 0.25 {
+	if got := w.ResidualFor(c, [][]float64{{1, 2}, {3}}); got[0][0] != 0.25 {
 		t.Fatal("matching-shape accumulator was not reused")
 	}
-	grown := w.residualFor(c, [][]float64{{1, 2, 3}, {4}})
+	grown := w.ResidualFor(c, [][]float64{{1, 2, 3}, {4}})
 	if len(grown[0]) != 3 || len(grown[1]) != 1 {
 		t.Fatalf("accumulator not resized to delta shape: %v", grown)
 	}
 	if grown[0][0] != 0 {
 		t.Fatalf("stale residual survived a shape change: %v", grown)
 	}
-	if nilRes := w.residualFor(rawCodec{}, [][]float64{{1}}); nilRes != nil {
+	if nilRes := w.ResidualFor(rawCodec{}, [][]float64{{1}}); nilRes != nil {
 		t.Fatal("non-sparsifying codec got an accumulator")
 	}
 }

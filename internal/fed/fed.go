@@ -27,16 +27,12 @@
 package fed
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/edge"
 	"repro/internal/faults"
 	"repro/internal/netem"
-	"repro/internal/objstore"
-	"repro/internal/obs"
 	"repro/internal/pilot"
 )
 
@@ -164,76 +160,25 @@ func (c Config) sync() bool { return c.Quorum == 0 || c.Quorum >= c.Workers }
 // Profiles lists the accepted -compress profile names.
 func Profiles() []string { return []string{"none", "fp16", "topk"} }
 
-// Deps are the continuum substrates a run composes with. Net is required;
-// the rest are optional (nil Hub skips device registration, nil Store
-// skips checkpointing, nil Plan runs fault-free on a private clock).
-type Deps struct {
-	Net   *netem.Net
-	Hub   *edge.Hub
-	Store *objstore.Store
-	Plan  *faults.Plan
-	Obs   obs.Observer
-	// Start anchors the private clock when Plan is nil (Plan's own clock
-	// is used otherwise). The zero value is a fixed 2023 instant.
-	Start time.Time
-	// AfterRound, when set, runs at the end of every round inside the
-	// round's trace scope — the hook cmd/autolearn uses to hot-reload the
-	// serving registry from the fresh checkpoint without fed importing
-	// serve. A non-nil error aborts the run.
-	AfterRound func(round int, sc obs.SpanContext) error
-}
-
-// worker is one edge participant: its shard, its local pilot (re-seeded
-// from the broadcast every round), the base copy it diffs against, its
-// fixed compute speed, and its top-k error-feedback residual.
-type worker struct {
-	idx      int
-	deviceID string
-	name     string
-	shard    []pilot.Sample
-	local    *pilot.Pilot
-	base     *pilot.Pilot
-	speed    float64     // compute speed factor; higher is faster
-	residual [][]float64 // error feedback for sparsified uploads
-	// evicted marks a heartbeat eviction during the current round. A worker
-	// whose daemon went silent misses the round even if it re-onboards
-	// before the uploads are collected — its connection was lost mid-round.
-	evicted bool
-}
-
 // Run is one federated training run in progress.
 type Run struct {
 	Cfg    Config
 	Global *pilot.Pilot
+	*Fleet
 
-	workers []*worker
-	val     []pilot.Sample
-
-	net        *netem.Net
-	hub        *edge.Hub
-	store      *objstore.Store
-	plan       *faults.Plan
-	clock      *faults.Clock
-	obs        obs.Observer
-	codec      Codec
-	afterRound func(round int, sc obs.SpanContext) error
-
+	val      []pilot.Sample
+	codec    Codec
 	playback *heartbeatPlayback
 }
 
 // NewRun assembles a run: the global pilot (the parameter server's copy),
-// one worker per shard with a seeded compute speed, and — when a hub is
-// present — a registered, flashed, and booted BYOD device per worker.
-// When the fault plan scripts silence windows, the first workers take the
-// scripted device names so the plan's schedule lands on real fleet
-// members. shards must have Cfg.Workers entries; val is the held-out set
-// the server scores the global model on after each round.
+// the provisioned fleet (see NewFleet), and heartbeat playback when both
+// a hub and a fault plan are attached. shards must have Cfg.Workers
+// entries; val is the held-out set the server scores the global model on
+// after each round.
 func NewRun(cfg Config, deps Deps, global *pilot.Pilot, shards [][]pilot.Sample, val []pilot.Sample) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if deps.Net == nil {
-		return nil, fmt.Errorf("fed: nil network")
 	}
 	if global == nil {
 		return nil, fmt.Errorf("fed: nil global pilot")
@@ -257,92 +202,18 @@ func NewRun(cfg Config, deps Deps, global *pilot.Pilot, shards [][]pilot.Sample,
 	if err != nil {
 		return nil, err
 	}
-	clock := deps.Start
-	if clock.IsZero() {
-		clock = time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
+	fl, err := NewFleet(FleetConfig{
+		Prefix: "fed", SpeedSalt: 0xfed, Seed: cfg.Seed,
+		LocalEpochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, PerSampleCost: cfg.PerSampleCost,
+		Container: cfg.Container, Object: cfg.Object,
+	}, deps, global.Cfg, shards)
+	if err != nil {
+		return nil, err
 	}
-	r := &Run{
-		Cfg:        cfg,
-		Global:     global,
-		val:        val,
-		net:        deps.Net,
-		hub:        deps.Hub,
-		store:      deps.Store,
-		plan:       deps.Plan,
-		obs:        deps.Obs,
-		codec:      cdc,
-		afterRound: deps.AfterRound,
-	}
-	if deps.Plan != nil {
-		r.clock = deps.Plan.Clock
-		deps.Net.SetFaults(deps.Plan)
-	} else {
-		r.clock = faults.NewClock(clock)
-	}
-	// The run lives entirely in virtual time, so its spans should too:
-	// re-clock the tracer onto the run's clock and hand it to every
-	// substrate a round's trace flows through. With deterministic span IDs
-	// this is what makes two same-seed runs export byte-identical traces.
-	if deps.Obs.Tracer != nil {
-		deps.Obs.Tracer.SetClock(r.clock.Now)
-		deps.Net.SetTracer(deps.Obs.Tracer)
-		if deps.Hub != nil {
-			deps.Hub.SetTracer(deps.Obs.Tracer)
-		}
-		if deps.Store != nil {
-			deps.Store.SetTracer(deps.Obs.Tracer)
-		}
-	}
-
-	var scripted []string
-	if deps.Plan != nil {
-		scripted = deps.Plan.ScriptDevices()
-	}
-	speedRNG := rand.New(rand.NewSource(cfg.Seed ^ 0xfed))
-	for i := 0; i < cfg.Workers; i++ {
-		if len(shards[i]) == 0 {
-			return nil, fmt.Errorf("fed: worker %d has an empty shard", i)
-		}
-		w := &worker{
-			idx:   i,
-			shard: shards[i],
-			speed: 0.7 + 0.6*speedRNG.Float64(),
-		}
-		w.name = fmt.Sprintf("fed-worker-%d", i)
-		if i < len(scripted) {
-			w.name = scripted[i]
-		}
-		w.local, err = pilot.New(global.Cfg)
-		if err != nil {
-			return nil, fmt.Errorf("fed: worker %d pilot: %w", i, err)
-		}
-		w.base, err = pilot.New(global.Cfg)
-		if err != nil {
-			return nil, fmt.Errorf("fed: worker %d base pilot: %w", i, err)
-		}
-		if deps.Hub != nil {
-			d, err := deps.Hub.RegisterDevice(w.name, "fed-fleet")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := deps.Hub.FlashImage(d.ID); err != nil {
-				return nil, err
-			}
-			if _, err := deps.Hub.Boot(d.ID); err != nil {
-				return nil, err
-			}
-			w.deviceID = d.ID
-		}
-		r.workers = append(r.workers, w)
-	}
-	if r.store != nil && cfg.Container != "" {
-		if err := r.store.CreateContainer(cfg.Container); err != nil && !errors.Is(err, objstore.ErrExists) {
-			return nil, err
-		}
-	}
-	if r.hub != nil && r.plan != nil {
-		r.playback = newHeartbeatPlayback(r.plan, r.hub, r.workers)
-		r.playback.start(r.clock)
+	r := &Run{Cfg: cfg, Global: global, Fleet: fl, val: val, codec: cdc}
+	if r.Hub != nil && r.Plan != nil {
+		r.playback = newHeartbeatPlayback(r.Plan, r.Hub, r.Workers)
+		r.playback.start(r.Clock)
 	}
 	r.instrument()
 	return r, nil
@@ -373,46 +244,14 @@ func ShardSamples(samples []pilot.Sample, n int) ([][]pilot.Sample, error) {
 	return out, nil
 }
 
-// now returns the run's current virtual time.
-func (r *Run) now() time.Time { return r.clock.Now() }
-
 // live reports whether the worker's device is currently connected (a run
 // without a hub treats every worker as live).
-func (r *Run) live(w *worker) bool {
-	if r.hub == nil || w.deviceID == "" {
+func (r *Run) live(w *Worker) bool {
+	if r.Hub == nil || w.deviceID == "" {
 		return true
 	}
-	d, err := r.hub.Device(w.deviceID)
+	d, err := r.Hub.Device(w.deviceID)
 	return err == nil && d.Status == edge.StatusConnected
-}
-
-// transfer bills size bytes over link, under the fault plan's retry
-// policy when one is attached. It returns the total virtual time the
-// operation consumed, including backoff waits; the clock has already
-// advanced by it. A retryable failure that exhausts the policy budget is
-// reported as (elapsed, err) with faults.Retryable(err) true — the caller
-// drops the worker instead of stalling the round.
-// The trace context rides along so each WAN attempt (including the
-// retries a fault plan injects) emits its own netem_transfer span under
-// the caller's stage span.
-func (r *Run) transfer(sc obs.SpanContext, op string, size int64, link netem.Link) (time.Duration, error) {
-	if r.plan == nil {
-		tr, err := r.net.TransferCtx(sc, link, size)
-		if err != nil {
-			return 0, err
-		}
-		r.clock.Advance(tr.Duration)
-		return tr.Duration, nil
-	}
-	before := r.clock.Now()
-	err := r.plan.Do(op, func(int) (time.Duration, error) {
-		tr, err := r.net.TransferCtx(sc, link, size)
-		if err != nil {
-			return 0, err
-		}
-		return tr.Duration, nil
-	})
-	return r.clock.Now().Sub(before), err
 }
 
 // heartbeatPlayback drives the worker fleet's device daemons as virtual
@@ -430,19 +269,19 @@ func (r *Run) transfer(sc obs.SpanContext, op string, size int64, link netem.Lin
 type heartbeatPlayback struct {
 	plan     *faults.Plan
 	hub      *edge.Hub
-	workers  []*worker
-	byDevice map[string]*worker
+	workers  []*Worker
+	byDevice map[string]*Worker
 	clock    *faults.Clock
 	beat     time.Time
 	sweep    time.Time
 }
 
-func newHeartbeatPlayback(plan *faults.Plan, hub *edge.Hub, workers []*worker) *heartbeatPlayback {
+func newHeartbeatPlayback(plan *faults.Plan, hub *edge.Hub, workers []*Worker) *heartbeatPlayback {
 	hp := &heartbeatPlayback{
 		plan:     plan,
 		hub:      hub,
 		workers:  workers,
-		byDevice: make(map[string]*worker, len(workers)),
+		byDevice: make(map[string]*Worker, len(workers)),
 		beat:     plan.Clock.Now().Add(plan.HeartbeatEvery),
 		sweep:    plan.Clock.Now().Add(plan.SweepEvery),
 	}
@@ -500,7 +339,7 @@ func (hp *heartbeatPlayback) beatRound(t time.Time) {
 		if w.deviceID == "" {
 			continue
 		}
-		if hp.plan.DeviceSilent(w.name, t) {
+		if hp.plan.DeviceSilent(w.Name, t) {
 			hp.plan.RecordInjection("heartbeat_gap")
 			continue
 		}

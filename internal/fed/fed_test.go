@@ -303,14 +303,14 @@ func TestFedHeartbeatSilenceDropsWorker(t *testing.T) {
 	cfg.PerSampleCost = 25 * time.Second
 
 	r := newTestRun(t, cfg, deps, 45)
-	if r.workers[0].name != scripted[0] {
-		t.Fatalf("worker 0 is %q, want scripted device %q", r.workers[0].name, scripted[0])
+	if r.Workers[0].Name != scripted[0] {
+		t.Fatalf("worker 0 is %q, want scripted device %q", r.Workers[0].Name, scripted[0])
 	}
 
 	// Walk the clock to just before the window opens (in steps, so the
 	// heartbeat playback keeps every device checked in along the way).
-	for r.now().Add(10 * time.Second).Before(wStart) {
-		r.clock.Advance(10 * time.Second)
+	for r.Clock.Now().Add(10 * time.Second).Before(wStart) {
+		r.Clock.Advance(10 * time.Second)
 	}
 
 	res, err := r.Execute()

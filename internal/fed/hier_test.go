@@ -122,7 +122,7 @@ func TestFedDroppedWorkerClearsResidual(t *testing.T) {
 		if round == 0 {
 			// Knock worker 0's device offline between rounds; round 1 drops
 			// it at the broadcast stage.
-			return deps.Hub.SetOffline(r.workers[0].deviceID)
+			return deps.Hub.SetOffline(r.Workers[0].deviceID)
 		}
 		return nil
 	}
@@ -140,12 +140,12 @@ func TestFedDroppedWorkerClearsResidual(t *testing.T) {
 	}
 	// Round 0's sparsified upload seeded the residual; the drop must have
 	// cleared it. Survivors keep theirs.
-	if r.workers[0].residual != nil {
+	if r.Workers[0].residual != nil {
 		t.Fatal("dropped worker kept its stale error-feedback residual")
 	}
-	for _, w := range r.workers[1:] {
+	for _, w := range r.Workers[1:] {
 		if w.residual == nil {
-			t.Fatalf("surviving worker %d lost its residual", w.idx)
+			t.Fatalf("surviving worker %d lost its residual", w.Idx)
 		}
 	}
 }

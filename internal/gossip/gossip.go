@@ -25,17 +25,11 @@
 package gossip
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
-	"repro/internal/edge"
-	"repro/internal/faults"
 	"repro/internal/fed"
 	"repro/internal/netem"
-	"repro/internal/objstore"
-	"repro/internal/obs"
 	"repro/internal/pilot"
 )
 
@@ -139,57 +133,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// fanout resolves the effective fanout.
-func (c Config) fanout() int {
-	if c.Fanout == 0 {
-		return 3
-	}
-	return c.Fanout
-}
+// Deps are the continuum substrates a run composes with — the same as
+// the star's: Net is required, the rest optional.
+type Deps = fed.Deps
 
-// antiEntropyEvery resolves the effective anti-entropy cadence
-// (0 means disabled after resolution).
-func (c Config) antiEntropyEvery() int {
-	if c.AntiEntropyEvery == 0 {
-		return 3
-	}
-	if c.AntiEntropyEvery < 0 {
-		return 0
-	}
-	return c.AntiEntropyEvery
-}
-
-// Deps are the continuum substrates a run composes with, mirroring
-// fed.Deps: Net is required, the rest optional.
-type Deps struct {
-	Net   *netem.Net
-	Hub   *edge.Hub
-	Store *objstore.Store
-	Plan  *faults.Plan
-	Obs   obs.Observer
-	// Start anchors the private clock when Plan is nil.
-	Start time.Time
-	// AfterRound, when set, runs at the end of every round inside the
-	// round's trace scope (the serve hot-reload hook).
-	AfterRound func(round int, sc obs.SpanContext) error
-}
-
-// worker is one mesh participant: its shard, the base model it rebuilds
-// from its parcel store, the trainable copy it diffs against the base,
-// and its overlay state (node ID, peer table, parcel replica).
+// worker is one mesh participant: the shared fleet worker (shard, base
+// model rebuilt from the parcel store, trainable copy diffed against the
+// base, per-origin error feedback) plus its overlay state (peer table,
+// parcel replica).
 type worker struct {
-	idx      int
-	name     string
-	deviceID string
-	id       NodeID
-	shard    []pilot.Sample
-	base     *pilot.Pilot // rebuilt from store before each training pass
-	local    *pilot.Pilot // trainable copy
-	table    *Table
-	store    *Store
-	residual [][]float64 // per-origin error feedback for sparsifying codecs
-	speed    float64
-	weight   float64 // shard fraction of the training total
+	*fed.Worker
+	table  *Table
+	store  *Store
+	weight float64 // shard fraction of the training total
 	// caughtUp is the count of leading rounds whose produced parcels this
 	// worker fully holds (monotone: stores are grow-only).
 	caughtUp int
@@ -211,6 +167,7 @@ type headState struct {
 // Run is one gossip training run in progress.
 type Run struct {
 	Cfg Config
+	*fed.Fleet
 
 	workers []*worker
 	head    *headState
@@ -219,40 +176,39 @@ type Run struct {
 	// initVals is the shared genesis weights every store rebuild starts
 	// from (the image flashed at provisioning).
 	initVals [][]float64
-	// fleet is a scratch pilot rebuilt from the union store for
+	// union is a scratch pilot rebuilt from the union store for
 	// validation — the "fleet head version" a rejoining peer converges to.
-	fleet *pilot.Pilot
+	union *pilot.Pilot
 	// produced[r] lists the parcel keys round r generated, for
 	// convergence-lag accounting.
 	produced [][]Key
-
-	net        *netem.Net
-	hub        *edge.Hub
-	store      *objstore.Store
-	plan       *faults.Plan
-	clock      *faults.Clock
-	obs        obs.Observer
-	codec      fed.Codec
-	afterRound func(round int, sc obs.SpanContext) error
+	codec    fed.Codec
 }
 
-// NewRun assembles a run: one worker per shard with a seeded compute
-// speed and a seeded peer table over the full member list, the per-pair
+// NewRun assembles a run: the provisioned fleet (see fed.NewFleet), a
+// seeded peer table per worker over the full member list, the per-pair
 // link mesh, the shared genesis weights, and the passive cloud head.
-// shards must have Cfg.Workers entries; val is the held-out set scored
-// after each round.
+// Zero-valued config fields resolve to their defaults in Run.Cfg, so it
+// reports the values the run uses. shards must have Cfg.Workers entries;
+// val is the held-out set scored after each round.
 func NewRun(cfg Config, deps Deps, genesis *pilot.Pilot, shards [][]pilot.Sample, val []pilot.Sample) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if deps.Net == nil {
-		return nil, fmt.Errorf("gossip: nil network")
 	}
 	if genesis == nil {
 		return nil, fmt.Errorf("gossip: nil genesis pilot")
 	}
 	if len(shards) != cfg.Workers {
 		return nil, fmt.Errorf("gossip: %d shards for %d workers", len(shards), cfg.Workers)
+	}
+	if cfg.Fanout == 0 {
+		cfg.Fanout = 3
+	}
+	if cfg.BucketSize == 0 {
+		cfg.BucketSize = 4
+	}
+	if cfg.AntiEntropyEvery == 0 {
+		cfg.AntiEntropyEvery = 3
 	}
 	if cfg.PeerLink == (netem.Link{}) {
 		cfg.PeerLink = netem.WiFiLocal
@@ -270,43 +226,19 @@ func NewRun(cfg Config, deps Deps, genesis *pilot.Pilot, shards [][]pilot.Sample
 	if err != nil {
 		return nil, err
 	}
-	start := deps.Start
-	if start.IsZero() {
-		start = time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
+	fl, err := fed.NewFleet(fed.FleetConfig{
+		Prefix: "gossip", SpeedSalt: 0x905512, Seed: cfg.Seed,
+		LocalEpochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, PerSampleCost: cfg.PerSampleCost,
+		Container: cfg.Container, Object: cfg.Object,
+	}, deps, genesis.Cfg, shards)
+	if err != nil {
+		return nil, err
 	}
-	r := &Run{
-		Cfg:        cfg,
-		val:        val,
-		net:        deps.Net,
-		hub:        deps.Hub,
-		store:      deps.Store,
-		plan:       deps.Plan,
-		obs:        deps.Obs,
-		codec:      cdc,
-		afterRound: deps.AfterRound,
-	}
-	if deps.Plan != nil {
-		r.clock = deps.Plan.Clock
-		deps.Net.SetFaults(deps.Plan)
-	} else {
-		r.clock = faults.NewClock(start)
-	}
-	// Same trace-determinism move as fed: the run lives in virtual time,
-	// so its spans do too.
-	if deps.Obs.Tracer != nil {
-		deps.Obs.Tracer.SetClock(r.clock.Now)
-		deps.Net.SetTracer(deps.Obs.Tracer)
-		if deps.Hub != nil {
-			deps.Hub.SetTracer(deps.Obs.Tracer)
-		}
-		if deps.Store != nil {
-			deps.Store.SetTracer(deps.Obs.Tracer)
-		}
-	}
+	r := &Run{Cfg: cfg, Fleet: fl, val: val, codec: cdc}
 
 	// Genesis weights: every rebuild starts from these exact bits.
 	r.initVals = snapshotWeights(genesis)
-	r.fleet, err = pilot.New(genesis.Cfg)
+	r.union, err = pilot.New(genesis.Cfg)
 	if err != nil {
 		return nil, fmt.Errorf("gossip: fleet pilot: %w", err)
 	}
@@ -316,74 +248,30 @@ func NewRun(cfg Config, deps Deps, genesis *pilot.Pilot, shards [][]pilot.Sample
 		return nil, fmt.Errorf("gossip: head pilot: %w", err)
 	}
 
-	var scripted []string
-	if deps.Plan != nil {
-		scripted = deps.Plan.ScriptDevices()
-	}
 	names := make([]string, cfg.Workers)
-	for i := range names {
-		names[i] = fmt.Sprintf("gossip-worker-%d", i)
-		if i < len(scripted) {
-			names[i] = scripted[i]
+	total := 0
+	for i, fw := range fl.Workers {
+		names[i] = fw.Name
+		if i >= cfg.FreeRiders {
+			total += len(shards[i])
 		}
 	}
 	r.mesh, err = netem.NewMesh(cfg.PeerLink, names)
 	if err != nil {
 		return nil, fmt.Errorf("gossip: peer mesh: %w", err)
 	}
-
-	total := 0
-	for i, s := range shards {
-		if len(s) == 0 {
-			return nil, fmt.Errorf("gossip: worker %d has an empty shard", i)
-		}
-		if i >= cfg.FreeRiders {
-			total += len(s)
-		}
-	}
-	speedRNG := rand.New(rand.NewSource(cfg.Seed ^ 0x905512))
-	for i := 0; i < cfg.Workers; i++ {
+	for i, fw := range fl.Workers {
 		w := &worker{
-			idx:       i,
-			name:      names[i],
-			id:        IDOf(names[i]),
-			shard:     shards[i],
+			Worker:    fw,
+			table:     NewTable(fw.Name, cfg.BucketSize),
 			store:     NewStore(),
-			speed:     0.7 + 0.6*speedRNG.Float64(),
 			freeRider: i < cfg.FreeRiders,
 		}
 		if !w.freeRider {
 			w.weight = float64(len(shards[i])) / float64(total)
 		}
-		w.table = NewTable(w.name, cfg.BucketSize)
 		Seed(w.table, names)
-		w.base, err = pilot.New(genesis.Cfg)
-		if err != nil {
-			return nil, fmt.Errorf("gossip: worker %d base pilot: %w", i, err)
-		}
-		w.local, err = pilot.New(genesis.Cfg)
-		if err != nil {
-			return nil, fmt.Errorf("gossip: worker %d local pilot: %w", i, err)
-		}
-		if deps.Hub != nil {
-			d, err := deps.Hub.RegisterDevice(w.name, "gossip-fleet")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := deps.Hub.FlashImage(d.ID); err != nil {
-				return nil, err
-			}
-			if _, err := deps.Hub.Boot(d.ID); err != nil {
-				return nil, err
-			}
-			w.deviceID = d.ID
-		}
 		r.workers = append(r.workers, w)
-	}
-	if r.store != nil && cfg.Container != "" {
-		if err := r.store.CreateContainer(cfg.Container); err != nil && !errors.Is(err, objstore.ErrExists) {
-			return nil, err
-		}
 	}
 	r.instrument()
 	return r, nil
@@ -402,32 +290,4 @@ func snapshotWeights(p *pilot.Pilot) [][]float64 {
 		out[i] = vals
 	}
 	return out
-}
-
-// now returns the run's current virtual time.
-func (r *Run) now() time.Time { return r.clock.Now() }
-
-// transfer bills size bytes over link under the fault plan's retry
-// policy, exactly as fed does: the clock advances by the attempt plus
-// any backoff, and a retryable failure that exhausts the budget comes
-// back with faults.Retryable(err) true so the caller skips the exchange
-// instead of stalling the round.
-func (r *Run) transfer(sc obs.SpanContext, op string, size int64, link netem.Link) (time.Duration, error) {
-	if r.plan == nil {
-		tr, err := r.net.TransferCtx(sc, link, size)
-		if err != nil {
-			return 0, err
-		}
-		r.clock.Advance(tr.Duration)
-		return tr.Duration, nil
-	}
-	before := r.clock.Now()
-	err := r.plan.Do(op, func(int) (time.Duration, error) {
-		tr, err := r.net.TransferCtx(sc, link, size)
-		if err != nil {
-			return 0, err
-		}
-		return tr.Duration, nil
-	})
-	return r.clock.Now().Sub(before), err
 }

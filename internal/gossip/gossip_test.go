@@ -342,8 +342,8 @@ func TestGossipChurnRejoin(t *testing.T) {
 	deps.Plan = plan
 	r := newTestRun(t, cfg, deps, 45)
 	// The scripted device name lands on worker 0.
-	if r.workers[0].name != "rejoiner" {
-		t.Fatalf("scripted name not adopted: %q", r.workers[0].name)
+	if r.workers[0].Name != "rejoiner" {
+		t.Fatalf("scripted name not adopted: %q", r.workers[0].Name)
 	}
 	res, err := r.Execute()
 	if err != nil {
@@ -446,14 +446,14 @@ func TestRebuildOrderIndependent(t *testing.T) {
 		for _, i := range rng.Perm(len(parcels)) {
 			b.Put(parcels[i])
 		}
-		if err := r.rebuild(r.fleet, a); err != nil {
+		if err := r.rebuild(r.union, a); err != nil {
 			t.Fatal(err)
 		}
-		fromA := snapshotWeights(r.fleet)
-		if err := r.rebuild(r.fleet, b); err != nil {
+		fromA := snapshotWeights(r.union)
+		if err := r.rebuild(r.union, b); err != nil {
 			t.Fatal(err)
 		}
-		fromB := snapshotWeights(r.fleet)
+		fromB := snapshotWeights(r.union)
 		for i := range fromA {
 			for j := range fromA[i] {
 				if math.Float64bits(fromA[i][j]) != math.Float64bits(fromB[i][j]) {
@@ -514,4 +514,45 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
 	}
+}
+
+// TestNewRunResolvesDefaults pins where zero-valued overlay knobs
+// resolve: NewRun writes the effective fanout, bucket size, and
+// anti-entropy cadence into Run.Cfg, so what fed-train prints is what
+// runs. A negative cadence stays disabled, and the trace reports it as 0.
+func TestNewRunResolvesDefaults(t *testing.T) {
+	cfg := testCfg()
+	cfg.Fanout, cfg.BucketSize, cfg.AntiEntropyEvery = 0, 0, 0
+	r := newTestRun(t, cfg, testDeps(t, "", 1), 45)
+	if got := [3]int{r.Cfg.Fanout, r.Cfg.BucketSize, r.Cfg.AntiEntropyEvery}; got != [3]int{3, 4, 3} {
+		t.Fatalf("resolved fanout/bucket-k/anti-entropy = %v, want [3 4 3]", got)
+	}
+
+	cfg.Rounds = 1
+	cfg.AntiEntropyEvery = -1
+	deps := testDeps(t, "", 1)
+	r = newTestRun(t, cfg, deps, 45)
+	if r.Cfg.AntiEntropyEvery >= 0 {
+		t.Fatalf("negative anti-entropy cadence resolved to %d, want it kept disabled", r.Cfg.AntiEntropyEvery)
+	}
+	if _, err := r.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := deps.Obs.Tracer.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadTraceJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.Name == "gossip-train" {
+			if got := rec.Attrs["anti_entropy_every"]; got != float64(0) {
+				t.Fatalf("disabled anti-entropy traced as %v (%T), want 0", got, got)
+			}
+			return
+		}
+	}
+	t.Fatal("no gossip-train span in trace")
 }

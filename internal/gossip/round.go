@@ -1,11 +1,9 @@
 package gossip
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/faults"
@@ -68,7 +66,7 @@ type Result struct {
 // instrument pre-registers the gossip_* series so scrapes before the
 // first round still see them. Everything is nil-safe.
 func (r *Run) instrument() {
-	reg := r.obs.Metrics
+	reg := r.Obs.Metrics
 	reg.Help("gossip_rounds_total", "gossip rounds completed")
 	reg.Help("gossip_parcels_total", "parcel replicas moved between stores, by direction")
 	reg.Help("gossip_exchanges_total", "push-pull exchanges completed")
@@ -96,11 +94,11 @@ func (r *Run) instrument() {
 
 // Execute runs every configured round and returns the run report.
 func (r *Run) Execute() (Result, error) {
-	span := r.obs.Tracer.Start("gossip-train")
+	span := r.Obs.Tracer.Start("gossip-train")
 	span.SetAttr("workers", r.Cfg.Workers)
 	span.SetAttr("rounds", r.Cfg.Rounds)
-	span.SetAttr("fanout", r.Cfg.fanout())
-	span.SetAttr("anti_entropy_every", r.Cfg.antiEntropyEvery())
+	span.SetAttr("fanout", r.Cfg.Fanout)
+	span.SetAttr("anti_entropy_every", max(r.Cfg.AntiEntropyEvery, 0))
 	span.SetAttr("compress", r.codec.Name())
 	var res Result
 	var wallSum time.Duration
@@ -119,13 +117,13 @@ func (r *Run) Execute() (Result, error) {
 		}
 		wallSum += rr.Wall
 		if r.Cfg.RoundGap > 0 {
-			r.clock.Advance(r.Cfg.RoundGap)
+			r.Clock.Advance(r.Cfg.RoundGap)
 		}
 	}
 	if n := len(res.Rounds); n > 0 {
 		res.MeanRoundWall = wallSum / time.Duration(n)
 	}
-	if r.store != nil && r.Cfg.Container != "" {
+	if r.Checkpointing() {
 		res.CheckpointContainer, res.CheckpointObject = r.Cfg.Container, r.Cfg.Object
 	}
 	span.SetAttr("final_fleet_val_loss", res.FinalFleetValLoss)
@@ -139,84 +137,45 @@ func (r *Run) Execute() (Result, error) {
 // exchanges in worker-index order, the cloud-head sync, checkpointing,
 // and validation of both the fleet union and the head replica.
 func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
-	reg := r.obs.Metrics
+	reg := r.Obs.Metrics
 	span := parent.Child("gossip-round")
 	span.SetAttr("round", idx)
 	sc := span.Context()
 	rr := RoundResult{Round: idx, FleetValLoss: -1, HeadValLoss: -1}
-	wallStart := r.now()
+	wallStart := r.Clock.Now()
 
 	// Churn: a worker inside a scripted silence window sits the round out
 	// entirely — no training, no initiating, unreachable as a partner.
 	// Its store survives, so when the window passes the next round's
 	// digest exchanges anti-entropy it back to the fleet head version.
 	for _, w := range r.workers {
-		w.offline = r.plan != nil && r.plan.DeviceSilent(w.name, r.now())
+		w.offline = r.Plan != nil && r.Plan.DeviceSilent(w.Name, r.Clock.Now())
 		if w.offline {
-			rr.Offline = append(rr.Offline, w.idx)
+			rr.Offline = append(rr.Offline, w.Idx)
 		}
 	}
 
 	// Local training: every reachable trainer rebuilds its base from its
 	// parcel store (genesis + parcels in canonical order), copies it to
-	// the trainable model, and runs its epochs. Each worker's arithmetic
-	// is self-contained and seeded, so the parallel schedule cannot
-	// change a bit of the result.
-	var wg sync.WaitGroup
-	trainErrs := make([]error, len(r.workers))
-	trainers := make([]bool, len(r.workers))
-	for i, w := range r.workers {
-		if w.offline || w.freeRider {
-			continue
+	// the trainable model, and runs its epochs.
+	var trainers []*fed.Worker
+	for _, w := range r.workers {
+		if !w.offline && !w.freeRider {
+			trainers = append(trainers, w.Worker)
 		}
-		trainers[i] = true
-		wg.Add(1)
-		go func(i int, w *worker) {
-			defer wg.Done()
-			if err := r.rebuild(w.base, w.store); err != nil {
-				trainErrs[i] = err
-				return
-			}
-			if err := copyWeights(w.local, w.base); err != nil {
-				trainErrs[i] = err
-				return
-			}
-			cfg := nn.TrainConfig{
-				Epochs:    r.Cfg.LocalEpochs,
-				BatchSize: r.Cfg.BatchSize,
-				Seed:      r.Cfg.Seed + int64(idx)*1000 + int64(w.idx)*7 + 13,
-				ClipGrad:  5,
-			}
-			_, err := w.local.Train(w.shard, cfg)
-			trainErrs[i] = err
-		}(i, w)
 	}
-	wg.Wait()
-	var maxTrain time.Duration
-	trainSpans := make([]*obs.Span, len(r.workers))
-	for i, w := range r.workers {
-		if !trainers[i] {
-			continue
+	err := r.TrainLocal(span, idx, trainers, func(fw *fed.Worker) error {
+		if err := r.rebuild(fw.Base, r.workers[fw.Idx].store); err != nil {
+			return err
 		}
-		if trainErrs[i] != nil {
-			span.EndErr(trainErrs[i])
-			return rr, fmt.Errorf("gossip: worker %d round %d: %w", w.idx, idx, trainErrs[i])
+		if err := copyWeights(fw.Local, fw.Base); err != nil {
+			return err
 		}
-		cost := r.trainCost(w)
-		if cost > maxTrain {
-			maxTrain = cost
-		}
-		tsp := span.Child("gossip_local_train")
-		tsp.SetAttr("worker", w.name)
-		tsp.SetAttr("samples", len(w.shard))
-		tsp.SetSimDuration("train", cost)
-		trainSpans[i] = tsp
-	}
-	r.clock.Advance(maxTrain)
-	for _, tsp := range trainSpans {
-		if tsp != nil {
-			tsp.End()
-		}
+		return r.Train(fw, idx)
+	})
+	if err != nil {
+		span.EndErr(err)
+		return rr, err
 	}
 
 	// Parcel production: delta = local - base, scaled by the worker's
@@ -224,11 +183,9 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	// at the origin), filed into the origin's own store. Every replica of
 	// this parcel anywhere in the fleet carries these exact values.
 	var produced []Key
-	for i, w := range r.workers {
-		if !trainers[i] {
-			continue
-		}
-		delta, err := nn.DeltaFrom(w.local.Model(), w.base.Model())
+	for _, fw := range trainers {
+		w := r.workers[fw.Idx]
+		delta, err := nn.DeltaFrom(w.Local.Model(), w.Base.Model())
 		if err != nil {
 			span.EndErr(err)
 			return rr, err
@@ -241,15 +198,15 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 			}
 			vals[ti] = sv
 		}
-		enc := r.codec.EncodeDelta(vals, w.residualFor(r.codec, vals))
-		p := &Parcel{Origin: w.idx, Round: idx, WireBytes: enc.WireBytes, Values: enc.Values}
+		enc := r.codec.EncodeDelta(vals, w.ResidualFor(r.codec, vals))
+		p := &Parcel{Origin: w.Idx, Round: idx, WireBytes: enc.WireBytes, Values: enc.Values}
 		if err := p.Validate(); err != nil {
 			span.EndErr(err)
 			return rr, err
 		}
 		w.store.Put(p)
 		produced = append(produced, p.Key())
-		rr.Trained = append(rr.Trained, w.idx)
+		rr.Trained = append(rr.Trained, w.Idx)
 	}
 	r.produced = append(r.produced, produced)
 
@@ -260,17 +217,17 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	// the farthest occupied bucket. Exchanges are push-pull, so parcels
 	// received early in the phase spread second-hand later in the same
 	// phase.
-	antiEntropy := r.Cfg.antiEntropyEvery() > 0 && (idx+1)%r.Cfg.antiEntropyEvery() == 0
+	antiEntropy := r.Cfg.AntiEntropyEvery > 0 && (idx+1)%r.Cfg.AntiEntropyEvery == 0
 	byName := make(map[string]*worker, len(r.workers))
 	for _, w := range r.workers {
-		byName[w.name] = w
+		byName[w.Name] = w
 	}
 	for _, w := range r.workers {
 		if w.offline {
 			continue
 		}
-		rng := rand.New(rand.NewSource(r.Cfg.Seed ^ (int64(idx)*1000003 + int64(w.idx)*7919 + 1)))
-		partners := w.table.Select(rng, r.Cfg.fanout())
+		rng := rand.New(rand.NewSource(r.Cfg.Seed ^ (int64(idx)*1000003 + int64(w.Idx)*7919 + 1)))
+		partners := w.table.Select(rng, r.Cfg.Fanout)
 		if antiEntropy {
 			if far, ok := w.table.Farthest(rng); ok {
 				partners = append(partners, far)
@@ -283,7 +240,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 			}
 			seen[p.Name] = true
 			peer := byName[p.Name]
-			link, err := r.mesh.Link(w.name, peer.name)
+			link, err := r.mesh.Link(w.Name, peer.Name)
 			if err != nil {
 				span.EndErr(err)
 				return rr, err
@@ -292,9 +249,9 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 				// The dial times out: bill one empty-digest probe, record
 				// the dead partner, move on.
 				psp := span.Child("gossip_probe")
-				psp.SetAttr("initiator", w.name)
-				psp.SetAttr("peer", peer.name)
-				d, err := r.transfer(psp.Context(), "gossip_probe", DigestBytes(0), link)
+				psp.SetAttr("initiator", w.Name)
+				psp.SetAttr("peer", peer.Name)
+				d, err := r.Transfer(psp.Context(), "gossip_probe", DigestBytes(0), link)
 				if err != nil && !faults.Retryable(err) {
 					psp.EndErr(err)
 					span.EndErr(err)
@@ -306,7 +263,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 				reg.Counter("gossip_exchange_failures_total", obs.L("reason", "unreachable")).Inc()
 				continue
 			}
-			xs, failed, err := r.exchange(span, exchangeKind(antiEntropy, w, p), "peer", w.name, peer.name, w.store, peer.store, link)
+			xs, failed, err := r.exchange(span, exchangeKind(antiEntropy, w, p), "peer", w.Name, peer.Name, w.store, peer.store, link)
 			if err != nil {
 				span.EndErr(err)
 				return rr, err
@@ -328,7 +285,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	// contact missed). Under a cloud partition the retry budget exhausts
 	// and the round simply proceeds headless.
 	if contact := r.headContact(idx); contact != nil {
-		xs, failed, err := r.exchange(span, "head_sync", "head", contact.name, HeadName, contact.store, r.head.store, r.Cfg.CloudLink)
+		xs, failed, err := r.exchange(span, "head_sync", "head", contact.Name, HeadName, contact.store, r.head.store, r.Cfg.CloudLink)
 		if err != nil {
 			span.EndErr(err)
 			return rr, err
@@ -357,7 +314,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 			return rr, err
 		}
 		r.head.dirty = false
-		if err := r.checkpoint(idx, span); err != nil {
+		if err := r.Checkpoint(span, idx, r.head.model); err != nil {
 			span.EndErr(err)
 			return rr, err
 		}
@@ -391,12 +348,12 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 			}
 		}
 		vsp := span.Child("gossip_validate")
-		if err := r.rebuild(r.fleet, union); err != nil {
+		if err := r.rebuild(r.union, union); err != nil {
 			vsp.EndErr(err)
 			span.EndErr(err)
 			return rr, err
 		}
-		fl, err := r.fleet.Validate(r.val, r.Cfg.BatchSize)
+		fl, err := r.union.Validate(r.val, r.Cfg.BatchSize)
 		if err != nil {
 			vsp.EndErr(err)
 			span.EndErr(err)
@@ -416,8 +373,8 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		vsp.SetAttr("head_val_loss", hl)
 		vsp.End()
 	}
-	if r.afterRound != nil {
-		if err := r.afterRound(idx, sc); err != nil {
+	if r.AfterRound != nil {
+		if err := r.AfterRound(idx, sc); err != nil {
 			span.EndErr(err)
 			return rr, fmt.Errorf("gossip: after-round hook round %d: %w", idx, err)
 		}
@@ -425,7 +382,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 
 	sort.Ints(rr.Trained)
 	sort.Ints(rr.Offline)
-	rr.Wall = r.now().Sub(wallStart)
+	rr.Wall = r.Clock.Now().Sub(wallStart)
 	reg.Counter("gossip_rounds_total").Inc()
 	reg.Histogram("gossip_round_seconds", obs.DefSecondsBuckets).
 		ObserveDurationExemplar(rr.Wall, span.Context().TraceID)
@@ -488,14 +445,14 @@ type xferStats struct {
 // transferred before the failure stays applied — gossip is idempotent,
 // the next exchange finishes the job); a non-nil error is fatal.
 func (r *Run) exchange(parent *obs.Span, kind, wire, initiator, peerName string, a, b *Store, link netem.Link) (xferStats, bool, error) {
-	reg := r.obs.Metrics
+	reg := r.Obs.Metrics
 	var xs xferStats
 	sp := parent.Child("gossip_exchange")
 	sp.SetAttr("kind", kind)
 	sp.SetAttr("initiator", initiator)
 	sp.SetAttr("peer", peerName)
 	digestBytes := DigestBytes(a.Len()) + DigestBytes(b.Len())
-	d, err := r.transfer(sp.Context(), "gossip_digest", digestBytes, link)
+	d, err := r.Transfer(sp.Context(), "gossip_digest", digestBytes, link)
 	xs.dur += d
 	if err != nil {
 		if !faults.Retryable(err) {
@@ -531,7 +488,7 @@ func (r *Run) exchange(parent *obs.Span, kind, wire, initiator, peerName string,
 		psp.SetAttr("dir", leg.dir)
 		psp.SetAttr("parcels", len(leg.keys))
 		psp.SetAttr("bytes", size)
-		d, err := r.transfer(psp.Context(), "gossip_parcel", size, link)
+		d, err := r.Transfer(psp.Context(), "gossip_parcel", size, link)
 		xs.dur += d
 		if err != nil {
 			psp.EndErr(err)
@@ -612,62 +569,4 @@ func copyWeights(dst, src *pilot.Pilot) error {
 		dp[i].Grad.Zero()
 	}
 	return nil
-}
-
-// checkpoint writes the head's model to the object store under the
-// retry policy, where the serving registry's ETag poll picks it up.
-func (r *Run) checkpoint(round int, parent *obs.Span) error {
-	if r.store == nil || r.Cfg.Container == "" {
-		return nil
-	}
-	csp := parent.Child("gossip_checkpoint")
-	csp.SetAttr("round", round)
-	err := r.writeCheckpoint(round, csp.Context())
-	csp.EndErr(err)
-	if err != nil {
-		return err
-	}
-	r.obs.Metrics.Counter("gossip_checkpoints_total").Inc()
-	return nil
-}
-
-func (r *Run) writeCheckpoint(round int, sc obs.SpanContext) error {
-	var buf bytes.Buffer
-	if err := r.head.model.Save(&buf); err != nil {
-		return err
-	}
-	meta := map[string]string{"gossip-round": fmt.Sprint(round)}
-	put := func() error {
-		_, err := r.store.PutTraced(sc, r.Cfg.Container, r.Cfg.Object, buf.Bytes(), meta)
-		return err
-	}
-	if r.plan == nil {
-		return put()
-	}
-	return r.plan.Do("gossip_checkpoint", func(int) (time.Duration, error) {
-		return 0, put()
-	})
-}
-
-// trainCost is the simulated edge compute time for one worker's local
-// epochs, matching fed's model.
-func (r *Run) trainCost(w *worker) time.Duration {
-	work := float64(len(w.shard)*r.Cfg.LocalEpochs) * float64(r.Cfg.PerSampleCost)
-	return time.Duration(work / w.speed)
-}
-
-// residualFor returns the worker's error-feedback accumulator for
-// sparsifying codecs (reset when the model shape changed), nil
-// otherwise — fed's exact semantics, per parcel origin.
-func (w *worker) residualFor(c fed.Codec, delta [][]float64) [][]float64 {
-	if !c.Sparsifies() {
-		return nil
-	}
-	if !fed.ShapesMatch(w.residual, delta) {
-		w.residual = make([][]float64, len(delta))
-		for i, t := range delta {
-			w.residual[i] = make([]float64, len(t))
-		}
-	}
-	return w.residual
 }

@@ -56,11 +56,8 @@ type Table struct {
 }
 
 // NewTable builds an empty table for the named worker. k is the bucket
-// capacity (values below 1 select the Kademlia-classic default of 4).
+// capacity.
 func NewTable(self string, k int) *Table {
-	if k < 1 {
-		k = 4
-	}
 	return &Table{self: Peer{Name: self, ID: IDOf(self)}, k: k}
 }
 

@@ -123,12 +123,11 @@ var replayCases = []replayCase{
 			cfg.Compress = "topk"
 			cfg.TopKFrac = 0.2
 			cfg.RoundGap = 15 * time.Second
-			gdeps := gossip.Deps{Net: deps.Net, Hub: deps.Hub, Store: deps.Store, Plan: deps.Plan, Obs: deps.Obs, Start: deps.Start}
 			genesis, err := pilot.New(replayPilotCfg())
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := gossip.NewRun(cfg, gdeps, genesis, shards, val)
+			run, err := gossip.NewRun(cfg, deps, genesis, shards, val)
 			if err != nil {
 				t.Fatal(err)
 			}

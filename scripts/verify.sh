@@ -425,18 +425,19 @@ if [ -z "${SKIP_BENCH_GUARD:-}" ]; then
 fi
 
 if [ -z "${SKIP_BENCH_GUARD:-}" ]; then
-    echo "==> dissemination guard (E15: partition survival, wire-cost drift)"
+    echo "==> dissemination guard (E15: partition survival, exact wire bytes and loss)"
     dout=$(mktemp)
     GOMAXPROCS=1 go test -run '^$' -bench '^BenchmarkE15Gossip$' \
         -benchtime 1x . >"$dout" 2>&1 || { cat "$dout" >&2; exit 1; }
-    gsurv=$(awk '$1 ~ "^BenchmarkE15Gossip/gossip/cloud-partition" {
-        for (i = 2; i < NF; i++) if ($(i+1) == "partition_survived") print $i }' "$dout")
-    ssurv=$(awk '$1 ~ "^BenchmarkE15Gossip/star/cloud-partition" {
-        for (i = 2; i < NF; i++) if ($(i+1) == "partition_survived") print $i }' "$dout")
-    gwire=$(awk '$1 ~ "^BenchmarkE15Gossip/gossip/clean" {
-        for (i = 2; i < NF; i++) if ($(i+1) == "bytes_on_wire") print $i }' "$dout")
-    if [ -z "$gsurv" ] || [ -z "$ssurv" ] || [ -z "$gwire" ]; then
-        echo "dissemination guard: missing E15 metrics (gossip='$gsurv' star='$ssurv' wire='$gwire')" >&2
+    # e15 ROW METRIC prints the value the E15 run reported for ROW.
+    e15() {
+        awk -v row="^BenchmarkE15Gossip/$1(-[0-9]+)?\$" -v m="$2" '$1 ~ row {
+            for (i = 2; i < NF; i++) if ($(i+1) == m) print $i }' "$dout"
+    }
+    gsurv=$(e15 gossip/cloud-partition partition_survived)
+    ssurv=$(e15 star/cloud-partition partition_survived)
+    if [ -z "$gsurv" ] || [ -z "$ssurv" ]; then
+        echo "dissemination guard: missing E15 metrics (gossip='$gsurv' star='$ssurv')" >&2
         cat "$dout" >&2
         exit 1
     fi
@@ -446,19 +447,25 @@ if [ -z "${SKIP_BENCH_GUARD:-}" ]; then
     fi
     echo "    partition_survived: gossip $gsurv, star $ssurv"
     if [ -f BENCH_pr10.json ]; then
-        # bytes_on_wire is billed on the simulated links, so it is
-        # deterministic on any machine: drifting >25% past the baseline
-        # means the overlay's wire economics changed, not the host.
-        base=$(awk -v n="\"BenchmarkE15Gossip/gossip/clean\"" '
-            index($0, n": {") { sub(".*\"bytes_on_wire\": ", ""); sub("[,}].*", ""); print }
-        ' BENCH_pr10.json)
-        if [ -n "$base" ]; then
-            if awk -v n="$gwire" -v b="$base" 'BEGIN { exit !(n > b * 1.25) }'; then
-                echo "dissemination guard: gossip/clean bytes_on_wire grew >25%: $gwire vs baseline $base" >&2
-                exit 1
-            fi
-            echo "    gossip/clean: bytes_on_wire $gwire (baseline $base, limit +25%)"
-        fi
+        # bytes_on_wire is billed on the simulated links and final_valloss
+        # comes from seeded training, so both are deterministic on any
+        # machine: any difference from the baseline means the fleet's
+        # behaviour changed, not the host.
+        for row in star/clean gossip/clean star/cloud-partition gossip/cloud-partition; do
+            for m in bytes_on_wire final_valloss; do
+                got=$(e15 "$row" "$m")
+                want=$(awk -v n="\"BenchmarkE15Gossip/$row\": {" -v m="\"$m\": " '
+                    index($0, n) && index($0, m) {
+                        v = substr($0, index($0, m) + length(m)); sub("[,}].*", "", v); print v }
+                ' BENCH_pr10.json)
+                if [ -z "$got" ] || [ -z "$want" ] ||
+                    ! awk -v g="$got" -v w="$want" 'BEGIN { exit !(g + 0 == w + 0) }'; then
+                    echo "dissemination guard: $row $m is '$got', baseline '$want' (must be equal)" >&2
+                    exit 1
+                fi
+                echo "    $row: $m $got (baseline $want)"
+            done
+        done
     fi
     rm -f "$dout"
 fi
