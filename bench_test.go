@@ -1154,11 +1154,12 @@ func e11Run(b *testing.B, quorum int, compress, profile string) {
 		deps := fed.Deps{Net: netem.NewNet(cfg.Seed), Hub: edge.NewHub(),
 			Store: objstore.New(), Start: benchEpoch}
 		if profile != "" {
-			plan, err := faults.NewPlan(profile, cfg.Seed, benchEpoch)
+			rt, err := scenario.ProfileRuntime(profile, cfg.Seed, benchEpoch)
 			if err != nil {
 				b.Fatal(err)
 			}
-			deps.Plan = plan
+			rt.Attach(deps.Net)
+			deps.Plan = rt.Plan()
 		}
 		r, err := fed.NewRun(cfg, deps, global, shards, val)
 		if err != nil {
@@ -1226,7 +1227,7 @@ func e12Run(b *testing.B, workers int, hier bool) {
 		cfg.Hierarchical = hier
 		cfg.IngressSerial = true
 		cfg.SyntheticLocal = true
-		plan, err := faults.NewPlan("heartbeat-gap", cfg.Seed, benchEpoch)
+		rt, err := scenario.ProfileRuntime("heartbeat-gap", cfg.Seed, benchEpoch)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1234,7 +1235,8 @@ func e12Run(b *testing.B, workers int, hier bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		deps := fed.Deps{Net: netem.NewNet(cfg.Seed), Hub: edge.NewHub(), Plan: plan, Start: benchEpoch}
+		deps := fed.Deps{Net: netem.NewNet(cfg.Seed), Hub: edge.NewHub(), Plan: rt.Plan(), Start: benchEpoch}
+		rt.Attach(deps.Net)
 		r, err := fed.NewRun(cfg, deps, global, shards, nil)
 		if err != nil {
 			b.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/edge"
-	"repro/internal/faults"
 	"repro/internal/fed"
 	"repro/internal/gossip"
 	"repro/internal/netem"
@@ -36,7 +35,7 @@ func cmdFedTrain(args []string) error {
 	quorum := fs.Int("quorum", 0, "K-of-N quorum (0 = synchronous barrier; star topology)")
 	compress := fs.String("compress", "none", "delta compression: "+strings.Join(fed.Profiles(), "|"))
 	topKFrac := fs.Float64("topk", 0.2, "fraction of delta entries the topk profile keeps")
-	profile := fs.String("faults", "", "fault profile: "+strings.Join(faults.Profiles(), "|")+" (empty = fault-free)")
+	profile := fs.String("faults", "", "fault profile: "+strings.Join(scenario.Profiles(), "|")+" (empty = fault-free)")
 	scnFile := fs.String("scenario", "", "scenario file scripting faults and link shapes (exclusive with -faults)")
 	model := fs.String("model", "linear", "pilot kind")
 	trackName := fs.String("track", "default-oval", "track name")
@@ -97,27 +96,14 @@ func cmdFedTrain(args []string) error {
 		Obs:   o,
 		Start: epoch,
 	}
-	if *profile != "" && *scnFile != "" {
-		return fmt.Errorf("fed-train: -scenario and -faults are mutually exclusive")
+	rt, err := chaosRuntime("fed-train", *profile, *scnFile, *seed)
+	if err != nil {
+		return err
 	}
-	if *profile != "" {
-		plan, err := faults.NewPlan(*profile, *seed, epoch)
-		if err != nil {
-			return err
-		}
-		plan.Instrument(o.Metrics)
-		deps.Plan = plan
-		fmt.Printf("== fault profile %q (seed %d)\n", *profile, *seed)
-	}
-	var rt *scenario.Runtime
-	if *scnFile != "" {
-		rt, err = loadScenarioRuntime(*scnFile, *seed)
-		if err != nil {
-			return err
-		}
+	if rt != nil {
 		rt.Start(o)
-		deps.Plan = rt.Plan()
 		rt.Attach(deps.Net)
+		deps.Plan = rt.Plan()
 		fmt.Printf("== %s\n", rt.Describe())
 	}
 
@@ -141,7 +127,11 @@ func cmdFedTrain(args []string) error {
 			return fmt.Errorf("fed-train: unknown -peer-link %q", *peerLinkName)
 		}
 		gcfg.PeerLink = link
-		return runGossipTrain(gcfg, deps, pcfg, shards, val, rt, of)
+		if err := runGossipTrain(gcfg, deps, pcfg, shards, val); err != nil {
+			return err
+		}
+		finishChaos(rt, *scnFile != "")
+		return of.write(o)
 	default:
 		return fmt.Errorf("fed-train: unknown -topology %q (have star, gossip)", *topology)
 	}
@@ -201,15 +191,7 @@ func cmdFedTrain(args []string) error {
 		fmt.Printf("== global checkpoint at %s/%s (served as fed-global, %d hot reloads)\n",
 			out.CheckpointContainer, out.CheckpointObject, reloads)
 	}
-	if rt != nil {
-		// Play the clock past the horizon so every scripted phase fires and
-		// the exported trace carries the full transition record.
-		rt.Clock().Advance(rt.Scenario().Horizon())
-		fmt.Printf("== scenario: %d phase transitions\n", rt.Finish())
-	}
-	if deps.Plan != nil {
-		fmt.Printf("== faults: %s\n", deps.Plan.Summary())
-	}
+	finishChaos(rt, *scnFile != "")
 	return of.write(o)
 }
 
@@ -220,7 +202,7 @@ func cmdFedTrain(args []string) error {
 // cloud sync lands one (under a cloud partition that may be never, and
 // the run carries on regardless).
 func runGossipTrain(gcfg gossip.Config, deps gossip.Deps, pcfg pilot.Config,
-	shards [][]pilot.Sample, val []pilot.Sample, rt *scenario.Runtime, of obsFlags) error {
+	shards [][]pilot.Sample, val []pilot.Sample) error {
 	var reloads int
 	if gcfg.Container != "" && deps.Store != nil {
 		sreg, err := serve.NewRegistry(deps.Store, gcfg.Container)
@@ -276,12 +258,5 @@ func runGossipTrain(gcfg gossip.Config, deps gossip.Deps, pcfg pilot.Config,
 		fmt.Printf("== head checkpoint at %s/%s (served as gossip-global, %d hot reloads)\n",
 			out.CheckpointContainer, out.CheckpointObject, reloads)
 	}
-	if rt != nil {
-		rt.Clock().Advance(rt.Scenario().Horizon())
-		fmt.Printf("== scenario: %d phase transitions\n", rt.Finish())
-	}
-	if deps.Plan != nil {
-		fmt.Printf("== faults: %s\n", deps.Plan.Summary())
-	}
-	return of.write(deps.Obs)
+	return nil
 }

@@ -472,28 +472,24 @@ func cmdPipeline(args []string) error {
 	trackName := fs.String("track", "default-oval", "track name")
 	model := fs.String("model", "inferred", "pilot kind")
 	gpu := fs.String("gpu", "RTX6000", "GPU SKU")
-	profile := fs.String("faults", "", "fault profile: "+strings.Join(faults.Profiles(), "|")+" (empty = fault-free)")
+	profile := fs.String("faults", "", "fault profile: "+strings.Join(scenario.Profiles(), "|")+" (empty = fault-free)")
 	scnFile := fs.String("scenario", "", "scenario file scripting faults and link shapes (exclusive with -faults)")
 	of := addObsFlags(fs)
 	fs.Parse(args)
-	if *profile != "" && *scnFile != "" {
-		return fmt.Errorf("pipeline: -scenario and -faults are mutually exclusive")
-	}
 
 	cfg := core.DefaultConfig()
 	cfg.Track = *trackName
+	rt, err := chaosRuntime("pipeline", *profile, *scnFile, cfg.Seed)
+	if err != nil {
+		return err
+	}
 	m, err := core.New(cfg)
 	if err != nil {
 		return err
 	}
 	o := of.observer()
 	m.Instrument(o)
-	var rt *scenario.Runtime
-	if *scnFile != "" {
-		rt, err = loadScenarioRuntime(*scnFile, cfg.Seed)
-		if err != nil {
-			return err
-		}
+	if rt != nil {
 		rt.Start(o)
 		rt.Attach(m.Net)
 	}
@@ -512,17 +508,6 @@ func cmdPipeline(args []string) error {
 	}
 	var plan *faults.Plan
 	trainStart := epoch
-	if *profile != "" {
-		plan, err = faults.NewPlan(*profile, cfg.Seed, epoch)
-		if err != nil {
-			return err
-		}
-		plan.Instrument(o.Metrics)
-		if err := p.EnableFaults(plan); err != nil {
-			return err
-		}
-		fmt.Printf("== fault profile %q (seed %d)\n", *profile, cfg.Seed)
-	}
 	if rt != nil {
 		plan = rt.Plan()
 		if err := p.EnableFaults(plan); err != nil {
@@ -572,13 +557,8 @@ func cmdPipeline(args []string) error {
 		}
 		fmt.Printf("   student %d params, laps %d, crashes %d, cloud fallbacks %d\n",
 			hy.StudentParams, hy.Report.Laps, hy.Report.Crashes, hy.Fallbacks)
-		fmt.Printf("== faults: %s\n", plan.Summary())
 	}
-	if rt != nil {
-		// Drain the script so every phase transition lands in the trace.
-		rt.Clock().Advance(rt.Scenario().Horizon())
-		fmt.Printf("== scenario: %d phase transitions\n", rt.Finish())
-	}
+	finishChaos(rt, *scnFile != "")
 	p.EndTrace()
 	return of.write(o)
 }

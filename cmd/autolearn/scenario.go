@@ -38,6 +38,38 @@ func loadScenarioRuntime(file string, seed int64) (*scenario.Runtime, error) {
 	return scenario.NewRuntime(s, seed, epoch)
 }
 
+// chaosRuntime resolves the mutually exclusive -faults and -scenario
+// flags into one runtime anchored at the CLI's epoch: a fault profile is
+// a generated scenario, so both run the same way. Nil when neither is set.
+func chaosRuntime(cmd, profile, file string, seed int64) (*scenario.Runtime, error) {
+	switch {
+	case profile != "" && file != "":
+		return nil, fmt.Errorf("%s: -scenario and -faults are mutually exclusive", cmd)
+	case profile != "":
+		return scenario.ProfileRuntime(profile, seed, epoch)
+	case file != "":
+		return loadScenarioRuntime(file, seed)
+	}
+	return nil, nil
+}
+
+// finishChaos ends a -faults or -scenario run (a no-op without one): it
+// closes the scenario span and prints the transitions that fired and the
+// fault tally. With drain set the clock first plays past the scenario
+// horizon, so every scripted transition of a file lands in the trace; a
+// generated profile spans the 4h fault horizon and stops where the run
+// did.
+func finishChaos(rt *scenario.Runtime, drain bool) {
+	if rt == nil {
+		return
+	}
+	if drain {
+		rt.Clock().Advance(rt.Scenario().Horizon())
+	}
+	fmt.Printf("== scenario: %d phase transitions\n", rt.Finish())
+	fmt.Printf("== faults: %s\n", rt.Plan().Summary())
+}
+
 func cmdScenarioCheck(args []string) error {
 	fs := flag.NewFlagSet("scenario check", flag.ExitOnError)
 	file := fs.String("file", "", "scenario file (required)")

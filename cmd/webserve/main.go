@@ -143,7 +143,7 @@ func build(trackName string, hz float64, scnFile string) (*app, error) {
 		rt.Attach(fabric)
 		rt.Start(obs.Observer{Tracer: tracer, Metrics: reg})
 	} else {
-		fabric.SetShaper(table, clk.Now)
+		fabric.SetShaper(table, clk.Now, nil)
 	}
 
 	// Drive loop: controller commands move the physics; frame and state

@@ -4,10 +4,10 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/pilot"
+	"repro/internal/scenario"
 	"repro/internal/testbed"
 )
 
@@ -27,12 +27,14 @@ func chaosCounters(t *testing.T, seed int64) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := faults.NewPlan("chaos", seed, t0)
+	rt, err := scenario.ProfileRuntime("chaos", seed, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	plan.Instrument(reg)
+	rt.Start(obs.Observer{Metrics: reg})
+	rt.Attach(m.Net)
+	plan := rt.Plan()
 	if err := p.EnableFaults(plan); err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 // Package faults is the deterministic fault-injection and resilience layer
-// of the continuum: seeded, virtual-time fault schedules (link outages and
-// degradation windows, transient object-store errors, device heartbeat
-// silence, GPU-node preemption) plus a reusable retry policy (exponential
-// backoff with jitter, per-attempt timeout, total budget) that accrues
-// virtual time through an injected clock instead of sleeping. Every run
-// with the same seed and profile replays byte-for-byte: schedules are
-// generated up front from a seeded RNG and consulted read-only afterwards,
-// and backoff jitter draws from the plan's own RNG in call order.
+// of the continuum: virtual-time fault schedules (transient object-store
+// errors, device heartbeat silence, GPU-node preemption) plus a reusable
+// retry policy (exponential backoff with jitter, per-attempt timeout,
+// total budget) that accrues virtual time through an injected clock
+// instead of sleeping. Link chaos is not scheduled here: it lives in the
+// scenario package's shape table, which also compiles the named fault
+// profiles. Every run with the same seed and schedule replays
+// byte-for-byte: schedules are installed up front and consulted read-only
+// afterwards, and backoff jitter draws from the plan's own RNG in call
+// order.
 package faults
 
 import (
@@ -18,7 +20,7 @@ import (
 // return it (usually wrapped) so callers can distinguish transient
 // injected failures from real programming errors.
 type Error struct {
-	Kind string // e.g. "link_outage", "objstore", "timeout"
+	Kind string // e.g. "link_partition", "objstore", "timeout"
 	Op   string // the operation that was refused
 }
 
@@ -43,20 +45,11 @@ func Retryable(err error) bool {
 }
 
 // Window is one half-open interval [Start, End) of virtual time during
-// which a fault is active. Factor 0 means a hard outage; Factor > 1 is a
-// degradation multiplier (latency and jitter scale up, bandwidth scales
-// down by the same factor).
+// which a fault is active.
 type Window struct {
 	Start, End time.Time
-	Factor     float64
 }
 
 func (w Window) contains(t time.Time) bool {
 	return !t.Before(w.Start) && t.Before(w.End)
-}
-
-// LinkState is what a network link looks like at one instant.
-type LinkState struct {
-	Down       bool
-	SlowFactor float64 // 1 when healthy, > 1 when degraded
 }

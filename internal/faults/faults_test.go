@@ -32,7 +32,7 @@ func TestClockAdvanceAndCallbacks(t *testing.T) {
 }
 
 func TestRetryableDetection(t *testing.T) {
-	base := &Error{Kind: "link_outage", Op: "transfer"}
+	base := &Error{Kind: "link_partition", Op: "transfer"}
 	if !Retryable(base) {
 		t.Fatal("bare *Error should be retryable")
 	}
@@ -63,22 +63,13 @@ func TestBackoffGrowthAndClamp(t *testing.T) {
 	}
 }
 
-func mustPlan(t *testing.T, profile string, seed int64) *Plan {
-	t.Helper()
-	p, err := NewPlan(profile, seed, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 func TestDoRetriesUntilSuccess(t *testing.T) {
-	p := mustPlan(t, "lossy-wan", 7)
+	p := NewPlan(7, t0)
 	calls := 0
 	err := p.Do("transfer", func(attempt int) (time.Duration, error) {
 		calls++
 		if attempt < 3 {
-			return 0, &Error{Kind: "link_outage", Op: "transfer"}
+			return 0, &Error{Kind: "link_partition", Op: "transfer"}
 		}
 		return 2 * time.Second, nil
 	})
@@ -98,7 +89,7 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 }
 
 func TestDoNonRetryablePassesThrough(t *testing.T) {
-	p := mustPlan(t, "lossy-wan", 7)
+	p := NewPlan(7, t0)
 	sentinel := errors.New("object not found")
 	err := p.Do("get", func(int) (time.Duration, error) { return 0, sentinel })
 	if !errors.Is(err, sentinel) {
@@ -113,12 +104,12 @@ func TestDoNonRetryablePassesThrough(t *testing.T) {
 }
 
 func TestDoGivesUpAfterMaxAttempts(t *testing.T) {
-	p := mustPlan(t, "lossy-wan", 7)
+	p := NewPlan(7, t0)
 	p.Retry.MaxAttempts = 4
 	calls := 0
 	err := p.Do("transfer", func(int) (time.Duration, error) {
 		calls++
-		return 0, &Error{Kind: "link_outage"}
+		return 0, &Error{Kind: "link_partition"}
 	})
 	if err == nil || calls != 4 {
 		t.Fatalf("err = %v, calls = %d; want failure after 4", err, calls)
@@ -130,12 +121,12 @@ func TestDoGivesUpAfterMaxAttempts(t *testing.T) {
 }
 
 func TestDoBudgetExhaustion(t *testing.T) {
-	p := mustPlan(t, "lossy-wan", 7)
+	p := NewPlan(7, t0)
 	p.Retry.Budget = 3 * time.Second
 	p.Retry.BaseBackoff = 2 * time.Second
 	p.Retry.Jitter = 0
 	err := p.Do("transfer", func(int) (time.Duration, error) {
-		return time.Second, &Error{Kind: "link_outage"}
+		return time.Second, &Error{Kind: "link_partition"}
 	})
 	if err == nil {
 		t.Fatal("want budget-exhaustion error")
@@ -146,7 +137,7 @@ func TestDoBudgetExhaustion(t *testing.T) {
 }
 
 func TestDoAttemptTimeout(t *testing.T) {
-	p := mustPlan(t, "lossy-wan", 7)
+	p := NewPlan(7, t0)
 	p.Retry.AttemptTimeout = time.Second
 	calls := 0
 	err := p.Do("rpc", func(attempt int) (time.Duration, error) {
@@ -169,39 +160,9 @@ func TestDoAttemptTimeout(t *testing.T) {
 	}
 }
 
-func TestUnknownProfile(t *testing.T) {
-	if _, err := NewPlan("nope", 1, t0); err == nil {
-		t.Fatal("want error for unknown profile")
-	}
-}
-
-func TestLossyWANScheduleHitsOutages(t *testing.T) {
-	p := mustPlan(t, "lossy-wan", 42)
-	outages, degraded := 0, 0
-	for off := time.Duration(0); off < time.Minute; off += time.Second {
-		p.Clock.Advance(0)
-		st := p.LinkState("campus-wan")
-		_ = st
-		probe, _ := NewPlan("lossy-wan", 42, t0) // fresh plan to probe offsets
-		probe.Clock.Advance(off)
-		st = probe.LinkState("campus-wan")
-		if st.Down {
-			outages++
-		} else if st.SlowFactor > 1 {
-			degraded++
-		}
-	}
-	if outages == 0 || degraded == 0 {
-		t.Fatalf("a 60s scan must cross outage and degradation windows; got down=%d slow=%d",
-			outages, degraded)
-	}
-	if st := p.LinkState("lab-lan"); st.Down || st.SlowFactor != 1 {
-		t.Fatalf("unscheduled link must stay healthy, got %+v", st)
-	}
-}
-
 func TestStoreFaultCadence(t *testing.T) {
-	p := mustPlan(t, "flaky-objstore", 3)
+	p := NewPlan(3, t0)
+	p.AddStoreWindows(3, Window{Start: t0, End: t0.Add(Horizon)})
 	var pattern []bool
 	for i := 0; i < 6; i++ {
 		pattern = append(pattern, p.StoreFault("put") != nil)
@@ -213,48 +174,26 @@ func TestStoreFaultCadence(t *testing.T) {
 	if s := p.Summary(); s.Injected["objstore"] != 2 {
 		t.Fatalf("Injected = %v, want objstore 2", s.Injected)
 	}
-	if err := mustPlan(t, "lossy-wan", 3).StoreFault("put"); err != nil {
-		t.Fatalf("lossy-wan must not inject objstore faults, got %v", err)
-	}
-}
-
-func TestHeartbeatGapSchedule(t *testing.T) {
-	p := mustPlan(t, "heartbeat-gap", 11)
-	devs := p.ScriptDevices()
-	if !reflect.DeepEqual(devs, []string{"chaos-pi-1", "chaos-pi-2"}) {
-		t.Fatalf("ScriptDevices = %v", devs)
-	}
-	for _, d := range devs {
-		silentAt := time.Time{}
-		for off := time.Duration(0); off < 10*time.Minute; off += 5 * time.Second {
-			if p.DeviceSilent(d, t0.Add(off)) {
-				silentAt = t0.Add(off)
-				break
-			}
-		}
-		if silentAt.IsZero() {
-			t.Fatalf("%s never goes silent in the first 10 minutes", d)
-		}
-		if p.DeviceSilent(d, t0) {
-			t.Fatalf("%s must start healthy", d)
-		}
+	if err := NewPlan(3, t0).StoreFault("put"); err != nil {
+		t.Fatalf("a plan without a store schedule must not inject objstore faults, got %v", err)
 	}
 }
 
 // TestPlanDeterminism is the satellite determinism test: the same seed and
-// profile replayed through the same operation sequence yield identical
+// schedule replayed through the same operation sequence yield identical
 // attempt counts, fallback counts, injected tallies, registry snapshots,
 // and total virtual elapsed time. Run under -race in CI.
 func TestPlanDeterminism(t *testing.T) {
 	run := func() (Summary, map[string]float64, time.Duration) {
-		p := mustPlan(t, "chaos", 99)
+		p := NewPlan(99, t0)
+		p.AddStoreWindows(3, Window{Start: t0, End: t0.Add(Horizon)})
 		reg := obs.NewRegistry()
 		p.Instrument(reg)
 		for i := 0; i < 10; i++ {
 			failUntil := 1 + i%3
 			_ = p.Do("transfer", func(attempt int) (time.Duration, error) {
 				if attempt <= failUntil {
-					return 0, &Error{Kind: "link_outage", Op: "transfer"}
+					return 0, &Error{Kind: "link_partition", Op: "transfer"}
 				}
 				return 750 * time.Millisecond, nil
 			})
@@ -281,7 +220,8 @@ func TestPlanDeterminism(t *testing.T) {
 }
 
 func TestSummaryString(t *testing.T) {
-	p := mustPlan(t, "flaky-objstore", 1)
+	p := NewPlan(1, t0)
+	p.AddStoreWindows(3, Window{Start: t0, End: t0.Add(Horizon)})
 	p.StoreFault("get")
 	p.RecordAttempt("get")
 	p.RecordFallback()

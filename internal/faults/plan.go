@@ -11,15 +11,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Plan is one deterministic fault campaign: a profile expanded, from a
-// seed, into concrete schedules over a virtual-time horizon, plus the
-// retry policy and the counters the run accrues. A nil *Plan everywhere
-// means "no faults" and costs a nil check.
+// Plan is one deterministic fault campaign: the object-store and device
+// silence schedules a scenario installs, the preemption point, the retry
+// policy and its virtual clock, and the counters the run accrues. A nil
+// *Plan everywhere means "no faults" and costs a nil check.
 type Plan struct {
-	Profile string
-	Seed    int64
-	Clock   *Clock
-	Retry   Policy
+	Seed  int64
+	Clock *Clock
+	Retry Policy
 
 	// HeartbeatEvery and SweepEvery pace the scripted edge fleet: how
 	// often connected devices check in and how often the control plane
@@ -31,10 +30,9 @@ type Plan struct {
 	// simulated GPU time crosses this fraction of the total (0 disables).
 	PreemptAfterFrac float64
 
-	links        map[string][]Window // link name -> fault windows (sorted)
 	silence      map[string][]Window // scripted device -> silence windows
 	storeEvery   int                 // fail every Nth object-store attempt (0 disables)
-	storeWindows []Window            // restrict store faults to these windows (empty = always armed)
+	storeWindows []Window            // store faults are armed only inside these windows
 
 	mu        sync.Mutex
 	rng       *rand.Rand // backoff jitter; draws happen in call order
@@ -46,68 +44,21 @@ type Plan struct {
 	metrics *obs.Registry
 }
 
-// Horizon is how far past the plan's start the generated schedules
-// extend; pipelines run well inside it.
+// Horizon is how far past the plan's start fault schedules may extend;
+// pipelines run well inside it.
 const Horizon = 4 * time.Hour
 
-// Profiles lists the named fault profiles NewPlan accepts.
-func Profiles() []string {
-	return []string{"lossy-wan", "flaky-objstore", "heartbeat-gap", "preempt", "chaos"}
-}
-
-// NewPlan expands a named profile into a concrete plan whose schedules
-// start at the given virtual instant. The same profile, seed, and start
-// always produce the same plan.
-func NewPlan(profile string, seed int64, start time.Time) (*Plan, error) {
-	p := &Plan{
-		Profile:        profile,
-		Seed:           seed,
-		Clock:          NewClock(start),
-		Retry:          DefaultPolicy(),
-		HeartbeatEvery: 15 * time.Second,
-		SweepEvery:     45 * time.Second,
-		links:          map[string][]Window{},
-		silence:        map[string][]Window{},
-		rng:            rand.New(rand.NewSource(seed ^ 0x5eed)),
-		injected:       map[string]int{},
-	}
-	gen := rand.New(rand.NewSource(seed))
-	switch profile {
-	case "lossy-wan":
-		p.genLinkWindows(gen, start)
-	case "flaky-objstore":
-		p.storeEvery = 3
-	case "heartbeat-gap":
-		p.genSilenceWindows(gen, start)
-	case "preempt":
-		p.PreemptAfterFrac = 0.35 + 0.3*gen.Float64()
-	case "chaos":
-		p.genLinkWindows(gen, start)
-		p.storeEvery = 3
-		p.genSilenceWindows(gen, start)
-		p.PreemptAfterFrac = 0.35 + 0.3*gen.Float64()
-	default:
-		return nil, fmt.Errorf("faults: unknown profile %q (have %s)",
-			profile, strings.Join(Profiles(), ", "))
-	}
-	return p, nil
-}
-
-// NewScriptedPlan returns an empty plan whose fault schedules are
-// installed by a scenario (or a test) instead of expanded from a named
-// profile: same clock, retry policy, and fleet pacing as NewPlan, but no
-// generated windows. Install schedules with AddSilenceWindow and
-// AddStoreWindows before the run starts; link effects live in the
-// scenario's shape table, not here.
-func NewScriptedPlan(seed int64, start time.Time) *Plan {
+// NewPlan returns an empty plan anchored at start: the default retry
+// policy and fleet pacing, jitter seeded from seed, and no schedules.
+// Install schedules with AddSilenceWindow and AddStoreWindows before the
+// run starts; link effects live in a scenario's shape table, not here.
+func NewPlan(seed int64, start time.Time) *Plan {
 	return &Plan{
-		Profile:        "scenario",
 		Seed:           seed,
 		Clock:          NewClock(start),
 		Retry:          DefaultPolicy(),
 		HeartbeatEvery: 15 * time.Second,
 		SweepEvery:     45 * time.Second,
-		links:          map[string][]Window{},
 		silence:        map[string][]Window{},
 		rng:            rand.New(rand.NewSource(seed ^ 0x5eed)),
 		injected:       map[string]int{},
@@ -116,62 +67,21 @@ func NewScriptedPlan(seed int64, start time.Time) *Plan {
 
 // AddSilenceWindow scripts a silence window for a device's heartbeat
 // daemon. Call before the run starts; windows are kept in insertion
-// order and devices report via ScriptDevices like profile-generated ones.
+// order and the device is listed by ScriptDevices.
 func (p *Plan) AddSilenceWindow(device string, w Window) {
 	p.silence[device] = append(p.silence[device], w)
 }
 
-// AddStoreWindows arms object-store fault injection only inside the
-// given windows: while the clock is in a window every everyth attempt
-// fails with a transient error; outside them the store is healthy and
-// attempts are not counted. Profile plans (no windows) keep the legacy
-// always-armed behavior.
+// AddStoreWindows arms object-store fault injection inside the given
+// windows: while the clock is in one every everyth attempt fails with a
+// transient error; outside them the store is healthy and attempts are
+// not counted.
 func (p *Plan) AddStoreWindows(every int, ws ...Window) {
 	if every < 1 {
 		every = 1
 	}
 	p.storeEvery = every
 	p.storeWindows = append(p.storeWindows, ws...)
-}
-
-// genLinkWindows scatters alternating outage and degradation windows over
-// the campus WAN. The cycle period stays under ~30s so any half-minute of
-// traffic crosses at least one outage, and every outage is shorter than
-// the retry policy's cumulative backoff, so retries always recover.
-func (p *Plan) genLinkWindows(gen *rand.Rand, start time.Time) {
-	const link = "campus-wan"
-	t := start.Add(time.Duration(2+gen.Intn(4)) * time.Second)
-	end := start.Add(Horizon)
-	var ws []Window
-	for t.Before(end) {
-		down := time.Duration(4+gen.Intn(7)) * time.Second // 4-10s outage
-		ws = append(ws, Window{Start: t, End: t.Add(down), Factor: 0})
-		t = t.Add(down)
-		slow := time.Duration(3+gen.Intn(5)) * time.Second // 3-7s degraded tail
-		ws = append(ws, Window{Start: t, End: t.Add(slow), Factor: 2 + 2*gen.Float64()})
-		t = t.Add(slow)
-		t = t.Add(time.Duration(8+gen.Intn(9)) * time.Second) // 8-16s healthy
-	}
-	p.links[link] = ws
-}
-
-// genSilenceWindows scripts two BYOD devices whose daemons go silent for
-// longer than the heartbeat window (batteries dying mid-session), then
-// come back and re-onboard.
-func (p *Plan) genSilenceWindows(gen *rand.Rand, start time.Time) {
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("chaos-pi-%d", i+1)
-		t := start.Add(time.Duration(45+gen.Intn(76)) * time.Second) // first gap 45-120s in
-		end := start.Add(Horizon)
-		var ws []Window
-		for t.Before(end) {
-			gap := time.Duration(120+gen.Intn(121)) * time.Second // 2-4 min silent
-			ws = append(ws, Window{Start: t, End: t.Add(gap)})
-			t = t.Add(gap)
-			t = t.Add(time.Duration(120+gen.Intn(181)) * time.Second) // 2-5 min healthy
-		}
-		p.silence[name] = ws
-	}
 }
 
 // Instrument routes the plan's counters into reg and pre-registers the
@@ -255,32 +165,13 @@ func (s Summary) String() string {
 		total, detail, s.Attempts, s.Fallbacks)
 }
 
-// LinkState reports what the named link looks like right now on the
-// plan's clock. Links with no schedule are always healthy.
-func (p *Plan) LinkState(link string) LinkState {
-	now := p.Clock.Now()
-	st := LinkState{SlowFactor: 1}
-	for _, w := range p.links[link] {
-		if w.contains(now) {
-			if w.Factor == 0 {
-				st.Down = true
-			} else if w.Factor > st.SlowFactor {
-				st.SlowFactor = w.Factor
-			}
-		}
-	}
-	return st
-}
-
 // StoreFault is the object-store injection hook: every storeEvery-th
-// attempt (counting from the first) fails with a transient error, so a
-// single retry always clears it. Scripted plans with store windows only
-// arm the injector while the clock is inside a window. op is
-// informational.
+// armed attempt (counting from the first) fails with a transient error,
+// so a single retry always clears it. op is informational.
 func (p *Plan) StoreFault(op string) error {
 	now := p.Clock.Now()
 	p.mu.Lock()
-	if len(p.storeWindows) > 0 && !windowsContain(p.storeWindows, now) {
+	if !windowsContain(p.storeWindows, now) {
 		p.mu.Unlock()
 		return nil
 	}

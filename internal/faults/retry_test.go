@@ -13,7 +13,7 @@ import (
 // bills. All cases use Multiplier 1 and Jitter 0 so expected virtual
 // elapsed times are exact.
 func TestDoEdgeCases(t *testing.T) {
-	retryable := &Error{Kind: "link_outage", Op: "transfer"}
+	retryable := &Error{Kind: "link_partition", Op: "transfer"}
 	sentinel := errors.New("permission denied")
 
 	cases := []struct {
@@ -141,7 +141,7 @@ func TestDoEdgeCases(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := mustPlan(t, "lossy-wan", 7)
+			p := NewPlan(7, t0)
 			p.Retry = tc.policy
 			calls := 0
 			err := p.Do("op", func(attempt int) (time.Duration, error) {
@@ -176,11 +176,11 @@ func TestDoEdgeCases(t *testing.T) {
 // the RNG stream.
 func TestZeroJitterSeedIndependence(t *testing.T) {
 	elapsed := func(seed int64) time.Duration {
-		p := mustPlan(t, "lossy-wan", seed)
+		p := NewPlan(seed, t0)
 		p.Retry = Policy{MaxAttempts: 4, BaseBackoff: 700 * time.Millisecond,
 			MaxBackoff: 2 * time.Second, Multiplier: 2}
 		_ = p.Do("op", func(int) (time.Duration, error) {
-			return 50 * time.Millisecond, &Error{Kind: "link_outage"}
+			return 50 * time.Millisecond, &Error{Kind: "link_partition"}
 		})
 		return p.Clock.Now().Sub(t0)
 	}

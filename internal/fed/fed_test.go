@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"repro/internal/edge"
-	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/objstore"
 	"repro/internal/obs"
 	"repro/internal/pilot"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -70,12 +70,13 @@ func testDeps(t testing.TB, profile string, seed int64) Deps {
 		Start: testStart,
 	}
 	if profile != "" {
-		plan, err := faults.NewPlan(profile, seed, testStart)
+		rt, err := scenario.ProfileRuntime(profile, seed, testStart)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan.Instrument(d.Obs.Metrics)
-		d.Plan = plan
+		rt.Plan().Instrument(d.Obs.Metrics)
+		rt.Attach(d.Net)
+		d.Plan = rt.Plan()
 	}
 	return d
 }

@@ -29,7 +29,8 @@ import (
 
 // Deps are the continuum substrates a run composes with. Net is required;
 // the rest are optional (nil Hub skips device registration, nil Store
-// skips checkpointing, nil Plan runs fault-free on a private clock).
+// skips checkpointing, nil Plan runs fault-free on a private clock). Link
+// chaos is not in Plan: a scenario.Runtime attaches it to Net.
 type Deps struct {
 	Net   *netem.Net
 	Hub   *edge.Hub
@@ -110,7 +111,6 @@ func NewFleet(cfg FleetConfig, deps Deps, arch pilot.Config, shards [][]pilot.Sa
 	f := &Fleet{Deps: deps, FleetConfig: cfg}
 	if deps.Plan != nil {
 		f.Clock = deps.Plan.Clock
-		deps.Net.SetFaults(deps.Plan)
 	} else {
 		start := deps.Start
 		if start.IsZero() {

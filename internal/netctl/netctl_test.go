@@ -179,6 +179,46 @@ func TestShapeClearFlow(t *testing.T) {
 	}
 }
 
+// A fault profile's links live in the same table: a live shape lifts a
+// generated partition, and clear hands the link back to the profile.
+func TestProfileLinksAreMutable(t *testing.T) {
+	rt, err := scenario.ProfileRuntime("lossy-wan", 42, time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := netem.NewNet(42)
+	rt.Attach(net)
+	srv, err := New(Config{Table: rt.Table(), Net: net, Now: rt.Clock().Now, Runtime: rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := rt.Scenario().Phases[0]
+	if first.Kind != scenario.Partition {
+		t.Fatalf("lossy-wan opens with a %s phase", first.Kind)
+	}
+	rt.Clock().Advance(first.Start)
+	link := netem.Link{Name: "campus-wan", Bandwidth: 12.5e6} // no latency/jitter/loss: exact math
+	if _, err := net.Transfer(link, 1000); err == nil {
+		t.Fatal("transfer crossed the profile's partition")
+	}
+	if w := do(t, srv, http.MethodPost, "/links/shape", `{"link":"campus-wan","bandwidth":"2Mbps"}`); w.Code != http.StatusOK {
+		t.Fatalf("shape = %d: %s", w.Code, w.Body)
+	}
+	res, err := net.Transfer(link, 250_000)
+	if err != nil {
+		t.Fatalf("shaped transfer during the partition: %v", err)
+	}
+	if res.Duration != time.Second { // 250 kB at 0.25e6 B/s
+		t.Fatalf("shaped transfer = %v, want 1s", res.Duration)
+	}
+	if w := do(t, srv, http.MethodPost, "/links/clear", `{"link":"campus-wan"}`); w.Code != http.StatusOK {
+		t.Fatalf("clear = %d: %s", w.Code, w.Body)
+	}
+	if _, err := net.Transfer(link, 1000); err == nil {
+		t.Fatal("clear did not restore the profile's partition")
+	}
+}
+
 // Downing a link flips the view and makes the probe refuse with 503.
 func TestDownLink(t *testing.T) {
 	srv, _, _, _ := newTestServer(t)

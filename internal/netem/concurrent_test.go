@@ -3,9 +3,6 @@ package netem
 import (
 	"sync"
 	"testing"
-	"time"
-
-	"repro/internal/faults"
 )
 
 // TestConcurrentTransfersOneLink hammers a single link from many
@@ -57,44 +54,3 @@ func TestConcurrentTransfersOneLink(t *testing.T) {
 type errTransferShape TransferResult
 
 func (e errTransferShape) Error() string { return "bad transfer result" }
-
-// TestConcurrentTransfersWithFaults repeats the hammer with a fault plan
-// attached, so the outage/degradation window lookups race against the
-// transfer path too. Transfers inside outage windows fail retryably; the
-// test only demands data-race freedom and byte accounting for successes.
-func TestConcurrentTransfersWithFaults(t *testing.T) {
-	n := NewNet(13)
-	plan, err := faults.NewPlan("lossy-wan", 13, time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.SetFaults(plan)
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var okBytes int64
-	var okCount int
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				tr, err := n.Transfer(CampusWAN, 16<<10)
-				if err != nil {
-					continue // outage window: retryable by design
-				}
-				mu.Lock()
-				okBytes += tr.Bytes
-				okCount++
-				mu.Unlock()
-				plan.Clock.Advance(tr.Duration)
-			}
-		}()
-	}
-	wg.Wait()
-	bytes, transfers, _ := n.Stats()
-	if bytes != okBytes || transfers != okCount {
-		t.Fatalf("stats (%d bytes, %d transfers) disagree with successes (%d, %d)",
-			bytes, transfers, okBytes, okCount)
-	}
-}

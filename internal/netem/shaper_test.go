@@ -53,7 +53,7 @@ func TestShapedTransferBillsPiecewise(t *testing.T) {
 	sh.add(t0.Add(time.Second), LinkShape{Patch: &LinkPatch{Bandwidth: bwp(0.5e6)}})
 
 	n := NewNet(1)
-	n.SetShaper(sh, func() time.Time { return t0 })
+	n.SetShaper(sh, func() time.Time { return t0 }, nil)
 
 	// 1.5 MB: the first second moves 1 MB at the old 1 MB/s, the
 	// remaining 0.5 MB crawls at the degraded 0.5 MB/s for another
@@ -83,7 +83,7 @@ func TestShapedTransferStallsThroughPartition(t *testing.T) {
 	sh.add(t0.Add(2*time.Second), LinkShape{})
 
 	n := NewNet(1)
-	n.SetShaper(sh, func() time.Time { return t0 })
+	n.SetShaper(sh, func() time.Time { return t0 }, nil)
 
 	res, err := n.Transfer(link, 2_000_000)
 	if err != nil {
@@ -103,7 +103,7 @@ func TestShapedTransferPartitionedRefuses(t *testing.T) {
 	sh.add(t0, LinkShape{Down: true})
 
 	n := NewNet(1)
-	n.SetShaper(sh, func() time.Time { return t0 })
+	n.SetShaper(sh, func() time.Time { return t0 }, nil)
 
 	_, err := n.Transfer(Link{Name: "lab", Latency: time.Millisecond, Bandwidth: 1e6}, 1000)
 	if err == nil {
@@ -161,7 +161,7 @@ func TestProbeWithinTolerance(t *testing.T) {
 	lat := 60 * time.Millisecond
 	loss := 0.02
 	sh.add(t0, LinkShape{Patch: &LinkPatch{Bandwidth: bwp(2.5e6), LossRate: &loss, Latency: &lat}})
-	n.SetShaper(sh, func() time.Time { return t0 })
+	n.SetShaper(sh, func() time.Time { return t0 }, nil)
 
 	res, err = n.Probe(CampusWAN, ProbeConfig{})
 	if err != nil {
@@ -183,7 +183,7 @@ func TestProbeDownLinkFails(t *testing.T) {
 	sh := &stepShaper{}
 	sh.add(t0, LinkShape{Down: true})
 	n := NewNet(1)
-	n.SetShaper(sh, func() time.Time { return t0 })
+	n.SetShaper(sh, func() time.Time { return t0 }, nil)
 	if _, err := n.Probe(CampusWAN, ProbeConfig{}); err == nil {
 		t.Fatal("probe of a partitioned link succeeded")
 	}

@@ -4,7 +4,9 @@
 // strict parser, a canonical formatter that round-trips, a compiled
 // link-shape table netem consults mid-transfer, and a virtual-time
 // runtime that rides the faults.Clock event loop so the same file plus
-// the same seed replays byte-identically through any subsystem.
+// the same seed replays byte-identically through any subsystem. The
+// named fault profiles behind -faults are generated scenarios (Profile),
+// so the shape table is the only way link chaos reaches netem.
 package scenario
 
 import (

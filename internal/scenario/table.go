@@ -67,9 +67,11 @@ func compileLink(s *Scenario, decl LinkDecl, start time.Time) []epoch {
 		p := decl.Patch
 		base.Patch = &p
 	}
+	var phases []Phase
 	offsets := map[time.Duration]bool{0: true}
 	for _, ph := range s.Phases {
 		if targetsLink(ph, s, decl.Name) {
+			phases = append(phases, ph)
 			offsets[ph.Start] = true
 			offsets[ph.End] = true
 		}
@@ -82,8 +84,8 @@ func compileLink(s *Scenario, decl LinkDecl, start time.Time) []epoch {
 	es := make([]epoch, 0, len(sorted))
 	for _, off := range sorted {
 		sh := base
-		for _, ph := range s.Phases {
-			if targetsLink(ph, s, decl.Name) && off >= ph.Start && off < ph.End {
+		for _, ph := range phases {
+			if off >= ph.Start && off < ph.End {
 				sh = composeShape(base, ph)
 				break
 			}

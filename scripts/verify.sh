@@ -38,6 +38,13 @@ if [ -z "$fallbacks" ] || [ "$fallbacks" -eq 0 ]; then
     echo "hybrid_fallbacks_total missing or zero under lossy-wan (got '${fallbacks:-absent}')" >&2
     exit 1
 fi
+# The profile's partitions reach the WAN through the scenario shape table,
+# the one link-chaos path; a run that never hits one lost that wiring.
+partitions=$(awk '$1 == "faults_injected_total{kind=\"link_partition\"}" {print $2}' "$metrics")
+if [ -z "$partitions" ] || [ "$partitions" -eq 0 ]; then
+    echo "faults_injected_total{kind=\"link_partition\"} missing or zero under lossy-wan (got '${partitions:-absent}')" >&2
+    exit 1
+fi
 
 # Metrics-cardinality lint: a label key whose value set keeps growing
 # (request IDs, timestamps, raw durations) would blow up any real TSDB.
@@ -226,30 +233,45 @@ if [ -z "${SKIP_BENCH_GUARD:-}" ] && [ -f BENCH_pr3.json ]; then
     rm -f "$bout"
 fi
 
-if [ -z "${SKIP_BENCH_GUARD:-}" ] && [ -f BENCH_pr5.json ]; then
-    echo "==> federated regression guard vs BENCH_pr5.json (SKIP_BENCH_GUARD=1 to skip)"
+# bench_value OUT NAME METRIC prints METRIC as `go test -bench` output
+# OUT reported it for benchmark NAME.
+bench_value() {
+    awk -v row="^$2(-[0-9]+)?\$" -v m="$3" '$1 ~ row {
+        for (i = 2; i < NF; i++) if ($(i+1) == m) print $i }' "$1"
+}
+# baseline_value JSON NAME METRIC prints METRIC for NAME from a
+# BENCH_prN.json baseline.
+baseline_value() {
+    awk -v n="\"$2\": {" -v m="\"$3\": " 'index($0, n) && index($0, m) {
+        v = substr($0, index($0, m) + length(m)); sub("[,}].*", "", v); print v }' "$1"
+}
+# require_equal GUARD OUT JSON NAME METRIC fails unless the bench output
+# OUT reports exactly the baseline's value. Only deterministic metrics
+# (simulated time, billed bytes, seeded losses) may be gated this way.
+require_equal() {
+    got=$(bench_value "$2" "$4" "$5")
+    want=$(baseline_value "$3" "$4" "$5")
+    if [ -z "$got" ] || [ -z "$want" ] ||
+        ! awk -v g="$got" -v w="$want" 'BEGIN { exit !(g + 0 == w + 0) }'; then
+        echo "$1 guard: ${4#*/} $5 is '$got', baseline '$want' (must be equal)" >&2
+        exit 1
+    fi
+    echo "    ${4#*/}: $5 $got (baseline $want)"
+}
+
+if [ -z "${SKIP_BENCH_GUARD:-}" ] && [ -f BENCH_pr10.json ]; then
+    echo "==> federated regression guard (E11: exact round_ms, wire bytes and loss vs BENCH_pr10.json)"
     fout=$(mktemp)
     GOMAXPROCS=1 go test -run '^$' -bench '^BenchmarkE11Federated$' \
         -benchtime 1x . >"$fout" 2>&1 || { cat "$fout" >&2; exit 1; }
-    # round_ms is simulated wall-clock, so it is deterministic on any
-    # machine: drifting past the limit means federated behavior changed.
-    for variant in sync/raw/lossy-wan quorum/raw/lossy-wan sync/topk/clean; do
-        name="BenchmarkE11Federated/$variant"
-        base=$(awk -v n="\"$name\"" '
-            index($0, n": {") { sub(".*\"round_ms\": ", ""); sub("[,}].*", ""); print }
-        ' BENCH_pr5.json)
-        new=$(awk -v n="$name" '$1 ~ "^"n {
-            for (i = 2; i < NF; i++) if ($(i+1) == "round_ms") print $i
-        }' "$fout")
-        if [ -z "$base" ] || [ -z "$new" ]; then
-            echo "federated guard: missing $name round_ms (base='$base' new='$new')" >&2
-            exit 1
-        fi
-        if awk -v n="$new" -v b="$base" 'BEGIN { exit !(n > b * 1.25) }'; then
-            echo "federated guard: $name round_ms regressed >25%: $new vs baseline $base" >&2
-            exit 1
-        fi
-        echo "    $name: round_ms $new (baseline $base, limit +25%)"
+    # round_ms is simulated wall-clock, bytes_on_wire is billed on the
+    # simulated links and final_valloss comes from seeded training, so all
+    # three are deterministic on any machine: any difference from the
+    # baseline means federated behaviour changed, not the host.
+    for row in sync/raw/lossy-wan quorum/raw/lossy-wan sync/raw/clean sync/topk/clean; do
+        for m in round_ms bytes_on_wire final_valloss; do
+            require_equal federated "$fout" BENCH_pr10.json "BenchmarkE11Federated/$row" "$m"
+        done
     done
     # The headline acceptance numbers must keep holding: quorum beats the
     # barrier under the straggler profile, and top-k stays >=3x cheaper.
@@ -429,13 +451,8 @@ if [ -z "${SKIP_BENCH_GUARD:-}" ]; then
     dout=$(mktemp)
     GOMAXPROCS=1 go test -run '^$' -bench '^BenchmarkE15Gossip$' \
         -benchtime 1x . >"$dout" 2>&1 || { cat "$dout" >&2; exit 1; }
-    # e15 ROW METRIC prints the value the E15 run reported for ROW.
-    e15() {
-        awk -v row="^BenchmarkE15Gossip/$1(-[0-9]+)?\$" -v m="$2" '$1 ~ row {
-            for (i = 2; i < NF; i++) if ($(i+1) == m) print $i }' "$dout"
-    }
-    gsurv=$(e15 gossip/cloud-partition partition_survived)
-    ssurv=$(e15 star/cloud-partition partition_survived)
+    gsurv=$(bench_value "$dout" BenchmarkE15Gossip/gossip/cloud-partition partition_survived)
+    ssurv=$(bench_value "$dout" BenchmarkE15Gossip/star/cloud-partition partition_survived)
     if [ -z "$gsurv" ] || [ -z "$ssurv" ]; then
         echo "dissemination guard: missing E15 metrics (gossip='$gsurv' star='$ssurv')" >&2
         cat "$dout" >&2
@@ -453,17 +470,7 @@ if [ -z "${SKIP_BENCH_GUARD:-}" ]; then
         # behaviour changed, not the host.
         for row in star/clean gossip/clean star/cloud-partition gossip/cloud-partition; do
             for m in bytes_on_wire final_valloss; do
-                got=$(e15 "$row" "$m")
-                want=$(awk -v n="\"BenchmarkE15Gossip/$row\": {" -v m="\"$m\": " '
-                    index($0, n) && index($0, m) {
-                        v = substr($0, index($0, m) + length(m)); sub("[,}].*", "", v); print v }
-                ' BENCH_pr10.json)
-                if [ -z "$got" ] || [ -z "$want" ] ||
-                    ! awk -v g="$got" -v w="$want" 'BEGIN { exit !(g + 0 == w + 0) }'; then
-                    echo "dissemination guard: $row $m is '$got', baseline '$want' (must be equal)" >&2
-                    exit 1
-                fi
-                echo "    $row: $m $got (baseline $want)"
+                require_equal dissemination "$dout" BENCH_pr10.json "BenchmarkE15Gossip/$row" "$m"
             done
         done
     fi
