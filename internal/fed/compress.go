@@ -3,7 +3,6 @@ package fed
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Delta compression cuts bytes-on-wire for the weight exchange. Profiles
@@ -106,10 +105,11 @@ func (f16Codec) BroadcastValue(v float64) float64 { return float64(float32(v)) }
 func (f16Codec) Sparsifies() bool                 { return false }
 
 // topKCodec keeps only the top frac of entries per tensor by magnitude
-// (ties broken by index, so selection is deterministic), shipping each
-// survivor as a 4-byte index plus a float16 value; everything else stays
-// on the sender as error-feedback residual and rides along with the next
-// round's delta. Broadcast is float32, as in fp16.
+// (ties broken by index, so selection is deterministic; NaN ranks above
+// +Inf), shipping each survivor as a 4-byte index plus a float16 value;
+// everything else stays on the sender as error-feedback residual and
+// rides along with the next round's delta. Broadcast is float32, as in
+// fp16.
 type topKCodec struct{ frac float64 }
 
 func (c topKCodec) Name() string { return "topk" }
@@ -125,6 +125,7 @@ func (c topKCodec) EncodeDelta(delta [][]float64, residual [][]float64) Encoded 
 		residual = nil
 	}
 	var wire int64
+	var keys []uint64 // selection scratch, reused across tensors
 	out := make([][]float64, len(delta))
 	for i, t := range delta {
 		vals := make([]float64, len(t))
@@ -141,21 +142,11 @@ func (c topKCodec) EncodeDelta(delta [][]float64, residual [][]float64) Encoded 
 		if k > len(vals) {
 			k = len(vals)
 		}
-		idx := make([]int, len(vals))
-		for j := range idx {
-			idx[j] = j
+		if cap(keys) < len(vals) {
+			keys = make([]uint64, len(vals))
 		}
-		sort.Slice(idx, func(a, b int) bool {
-			va, vb := math.Abs(vals[idx[a]]), math.Abs(vals[idx[b]])
-			if va != vb {
-				return va > vb
-			}
-			return idx[a] < idx[b]
-		})
 		q := make([]float64, len(vals))
-		for _, j := range idx[:k] {
-			q[j] = f16Round(vals[j])
-		}
+		keepTopK(vals, q, k, keys[:len(vals)])
 		if residual != nil {
 			for j := range vals {
 				residual[i][j] = vals[j] - q[j]
@@ -167,6 +158,75 @@ func (c topKCodec) EncodeDelta(delta [][]float64, residual [][]float64) Encoded 
 		out[i] = q
 	}
 	return Encoded{WireBytes: wire, Values: out}
+}
+
+// magKey orders float64 magnitudes as unsigned integers: clearing the
+// sign bit leaves a key that increases with |v|, equal for ±0, and puts
+// every NaN above +Inf.
+func magKey(v float64) uint64 { return math.Float64bits(v) &^ (1 << 63) }
+
+// keepTopK sets q[j] = f16Round(vals[j]) for the k entries of vals that
+// rank first by magnitude key descending, then index ascending. It finds
+// the k-th largest key by selection in keys (scratch, len(vals)), keeps
+// every entry above it, and then the first entries equal to it in index
+// order until k are kept: the set a full sort by (key, index) would pick.
+func keepTopK(vals, q []float64, k int, keys []uint64) {
+	if k == 0 {
+		return
+	}
+	for j, v := range vals {
+		keys[j] = magKey(v)
+	}
+	thr := kthLargest(keys, k)
+	ties := k
+	for _, v := range vals {
+		if magKey(v) > thr {
+			ties--
+		}
+	}
+	for j, v := range vals {
+		if key := magKey(v); key > thr || key == thr && ties > 0 {
+			if key == thr {
+				ties--
+			}
+			q[j] = f16Round(v)
+		}
+	}
+}
+
+// kthLargest returns the k-th largest of keys (1 ≤ k ≤ len(keys)),
+// reordering keys in place: quickselect with a median-of-three pivot and
+// a three-way partition, so runs of equal keys cost one pass.
+func kthLargest(keys []uint64, k int) uint64 {
+	lo, hi, t := 0, len(keys), k-1
+	for hi-lo > 1 {
+		a, b, c := keys[lo], keys[lo+(hi-lo)/2], keys[hi-1]
+		p := max(min(a, b), min(max(a, b), c))
+		// Descending: [lo, gt) > p, [gt, lt) == p, [lt, hi) < p.
+		gt, i, lt := lo, lo, hi
+		for i < lt {
+			switch v := keys[i]; {
+			case v > p:
+				keys[gt], keys[i] = v, keys[gt]
+				gt++
+				i++
+			case v < p:
+				lt--
+				keys[lt], keys[i] = v, keys[lt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case t < gt:
+			hi = gt
+		case t >= lt:
+			lo = lt
+		default:
+			return p
+		}
+	}
+	return keys[lo]
 }
 
 func (c topKCodec) BroadcastBytes(n int) int64       { return 4 * int64(n) }

@@ -13,6 +13,15 @@ package nn
 // kernels may round differently from the naive references (partial-sum
 // grouping), but the difference is bounded well below 1e-12 for
 // unit-scale data, which kerneltest asserts.
+//
+// On amd64 hosts with AVX2 the inner loops (axpy4, axpy1 and the 4×8
+// tile of gemmTransBTile) run as assembly, chosen from the CPU feature
+// alone (gemm_amd64.go). The assembly issues the same IEEE operation
+// sequence as the Go code in this file: separate multiplies and adds
+// (VMULPD then VADDPD, never FMA), grouped as the Go expressions group
+// them, in the same k-order per element. The two paths therefore agree
+// bit for bit, which gemm_amd64_test.go checks; the Go code here is the
+// only path on other hosts.
 
 const (
 	// gemmTileM × gemmTileN is the C tile each parallel work unit owns in
@@ -45,23 +54,33 @@ func gemmInto(a, b, c []float64, m, k, n int) {
 				b1 := b[(p+1)*n : (p+2)*n]
 				b2 := b[(p+2)*n : (p+3)*n]
 				b3 := b[(p+3)*n : (p+4)*n]
-				for j := range ci {
-					ci[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
-				}
+				axpy4(ci, b0, b1, b2, b3, av0, av1, av2, av3)
 			}
 			for ; p < k; p++ {
 				av := ai[p]
 				if av == 0 {
 					continue
 				}
-				bp := b[p*n : (p+1)*n]
-				for j := range ci {
-					ci[j] += av * bp[j]
-				}
+				axpy1(ci, b[p*n:(p+1)*n], av)
 			}
 		}
 	}
 	parallelFor(m, m*k*n, work)
+}
+
+// axpy4Go computes c[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j],
+// the four-k-step inner loop of the A×B kernels.
+func axpy4Go(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+	for j := range c {
+		c[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+	}
+}
+
+// axpy1Go computes c[j] += a*b[j], the k-remainder step.
+func axpy1Go(c, b []float64, a float64) {
+	for j := range c {
+		c[j] += a * b[j]
+	}
 }
 
 // gemmBiasInto computes C = A×B + bias (bias broadcast across rows) and
@@ -84,19 +103,14 @@ func gemmBiasInto(a, b, bias, c []float64, m, k, n int, epi func(lo, hi int)) {
 				b1 := b[(p+1)*n : (p+2)*n]
 				b2 := b[(p+2)*n : (p+3)*n]
 				b3 := b[(p+3)*n : (p+4)*n]
-				for j := range ci {
-					ci[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
-				}
+				axpy4(ci, b0, b1, b2, b3, av0, av1, av2, av3)
 			}
 			for ; p < k; p++ {
 				av := ai[p]
 				if av == 0 {
 					continue
 				}
-				bp := b[p*n : (p+1)*n]
-				for j := range ci {
-					ci[j] += av * bp[j]
-				}
+				axpy1(ci, b[p*n:(p+1)*n], av)
 			}
 		}
 		if epi != nil {
@@ -130,19 +144,14 @@ func gemmTransAInto(a, b, c []float64, k, m, n int) {
 				b1 := b[(p+1)*n : (p+2)*n]
 				b2 := b[(p+2)*n : (p+3)*n]
 				b3 := b[(p+3)*n : (p+4)*n]
-				for j := range ci {
-					ci[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
-				}
+				axpy4(ci, b0, b1, b2, b3, av0, av1, av2, av3)
 			}
 			for ; p < k; p++ {
 				av := a[p*m+i]
 				if av == 0 {
 					continue
 				}
-				bp := b[p*n : (p+1)*n]
-				for j := range ci {
-					ci[j] += av * bp[j]
-				}
+				axpy1(ci, b[p*n:(p+1)*n], av)
 			}
 		}
 	}
@@ -171,8 +180,9 @@ func gemmTransBInto(a, b, c []float64, m, k, n int) {
 	})
 }
 
-// gemmTransBTile computes the C tile [i0:i1) × [j0:j1) of C = A×Bᵀ.
-func gemmTransBTile(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
+// gemmTransBTileGo computes the C tile [i0:i1) × [j0:j1) of C = A×Bᵀ.
+// Every element is s = 0; s += a[i][p]*b[j][p] for p = 0..k-1.
+func gemmTransBTileGo(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 	i := i0
 	for ; i+2 <= i1; i += 2 {
 		a0 := a[i*k : (i+1)*k]

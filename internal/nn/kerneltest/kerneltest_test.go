@@ -253,12 +253,25 @@ func compareWeights(t *testing.T, label string, a, b [][]float64) {
 	}
 }
 
-// BenchmarkGEMM measures the optimized kernels on the two panel shapes
-// that dominate pilot-model training (conv im2col and the dense head),
-// for scripts/bench.sh to track alongside the end-to-end experiments.
+// gemmBenchShapes are m×k×n problems: the two small panels the GEMM
+// bench has always tracked, then the training shapes the workloads run
+// (conv1 and conv2 forward over a batch's im2col panel, and a dense
+// layer over a flattened conv feature map).
+var gemmBenchShapes = [][3]int{
+	{560, 25, 8},
+	{64, 576, 50},
+	{21120, 25, 8}, // conv1 forward
+	{4480, 72, 16}, // conv2 forward
+	{32, 2240, 64}, // dense
+}
+
+// BenchmarkGEMM measures the optimized kernels on the shapes that
+// dominate pilot-model training, for scripts/bench.sh to track alongside
+// the end-to-end experiments. GFLOP/s counts 2·m·k·n flops per call, a
+// roofline point to set against the host's peak.
 func BenchmarkGEMM(b *testing.B) {
 	for _, v := range Variants() {
-		for _, s := range [][3]int{{560, 25, 8}, {64, 576, 50}} {
+		for _, s := range gemmBenchShapes {
 			rng := rand.New(rand.NewSource(1))
 			ar, ac := v.AShape(s[0], s[1], s[2])
 			br, bc := v.BShape(s[0], s[1], s[2])
@@ -271,6 +284,8 @@ func BenchmarkGEMM(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				flops := 2 * float64(s[0]) * float64(s[1]) * float64(s[2]) * float64(b.N)
+				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
 	}

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Full pre-merge verification: vet, build, race-enabled tests, a
+# Full pre-merge verification: vet (plus an arm64 vet of internal/nn's
+# pure-Go fallback), build, race-enabled tests, a
 # fault-profile pipeline smoke run, a metrics-cardinality lint, a
 # cross-subsystem trace smoke (byte-identical same-seed exports), a
 # scenario smoke (library checks, replay determinism, probe tolerance),
@@ -13,6 +14,11 @@ cd "$(dirname "$0")/.."
 
 echo "==> go vet ./..."
 go vet ./...
+
+# internal/nn has amd64 assembly; vetting a non-amd64 build proves the
+# pure-Go fallback still declares every kernel the assembly provides.
+echo "==> GOARCH=arm64 go vet ./internal/nn/..."
+GOARCH=arm64 go vet ./internal/nn/...
 
 echo "==> go build ./..."
 go build ./...
