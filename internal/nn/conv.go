@@ -10,6 +10,18 @@ import (
 // with an [F, C, KH, KW] kernel. By default it lowers to an im2col matrix
 // multiply; Naive switches to the direct nested-loop kernel (kept for the
 // ablation benchmark comparing the two).
+//
+// Buffer layouts of the lowering, with P = OH·OW output positions per
+// image and T = C·K·K receptive-field taps:
+//   - x and dx are [N, C, H, W]; y and the upstream grad are
+//     [N, F, OH, OW]. Each image's slice of y or grad is an [F, P]
+//     matrix, which the GEMMs write and read in place: nothing is
+//     transposed into a [position, F] layout.
+//   - cols is [N·P, T], one im2col row per output position, image by
+//     image. Forward builds it and backward reuses it for dW.
+//   - The kernel, and dW, are read as the [F, T] matrix W.
+//   - dcols is [P, T] for one image at a time, per worker; col2im
+//     scatters it into that image's dx while it is still cache-hot.
 type Conv2D struct {
 	InC, OutC, K, Stride int
 	Naive                bool
@@ -47,9 +59,10 @@ func (c *Conv2D) Forward(x *Tensor, train bool) (*Tensor, error) {
 	return c.forward(x, nil)
 }
 
-// forward lowers the convolution to a blocked GEMM over scratch-pooled
-// im2col buffers, optionally applying a fused activation epilogue to the
-// output while it is cache-hot.
+// forward lowers the convolution, one image at a time across workers:
+// im2col, then y_i = W × cols_iᵀ straight into the image's [F, P] output
+// slice, then the bias and the optional fused activation epilogue while
+// the slice is cache-hot.
 func (c *Conv2D) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
 	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
 		return nil, fmt.Errorf("nn: conv2d expects [N,%d,H,W], got %v", c.InC, x.Shape)
@@ -67,70 +80,80 @@ func (c *Conv2D) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
 		}
 		return y, err
 	}
-	// im2col: rows are output positions, columns are receptive-field taps.
-	patch := c.InC * c.K * c.K
+	pos, patch := oh*ow, c.InC*c.K*c.K
 	releaseScratch(c.cols) // drop a cached matrix from a backward-less pass
-	cols := getScratch(n*oh*ow, patch)
-	c.im2col(x, cols, n, h, w, oh, ow)
-	c.cols = cols
-	wMat, err := c.w.W.Reshape(c.OutC, patch)
-	if err != nil {
-		return nil, err
-	}
-	out2d := getScratch(n*oh*ow, c.OutC)
-	gemmTransBInto(cols.Data, wMat.Data, out2d.Data, n*oh*ow, patch, c.OutC)
+	c.cols = getScratch(n*pos, patch)
 	y := NewTensor(n, c.OutC, oh, ow)
-	// Transpose [pos, f] into [n, f, oh, ow] and add bias.
-	for i := 0; i < n; i++ {
-		for p := 0; p < oh*ow; p++ {
-			row := out2d.Data[(i*oh*ow+p)*c.OutC:]
-			for f := 0; f < c.OutC; f++ {
-				y.Data[((i*c.OutC+f)*oh*ow)+p] = row[f] + c.b.W.Data[f]
+	var epi func(lo, hi int)
+	if act != nil {
+		epi = act.fuseInto(y)
+	}
+	ySize := c.OutC * pos
+	parallelFor(n, n*pos*patch*c.OutC, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			cols := c.cols.Data[i*pos*patch : (i+1)*pos*patch]
+			c.im2colImage(x.Data, cols, i, h, w, oh, ow)
+			yi := y.Data[i*ySize : (i+1)*ySize]
+			gemmTransBT(cols, c.w.W.Data, yi, pos, patch, c.OutC)
+			for f, bf := range c.b.W.Data {
+				yf := yi[f*pos : (f+1)*pos]
+				for p := range yf {
+					yf[p] += bf
+				}
+			}
+			if epi != nil {
+				epi(i*ySize, (i+1)*ySize)
 			}
 		}
-	}
-	releaseScratch(out2d)
-	if act != nil {
-		act.fuseInto(y)(0, len(y.Data))
-	}
+	})
 	return y, nil
 }
 
+// im2col fills cols ([N·P, T]) for every image of x.
 func (c *Conv2D) im2col(x, cols *Tensor, n, h, w, oh, ow int) {
-	patch := c.InC * c.K * c.K
-	work := func(i0, i1 int) {
+	rows := oh * ow * c.InC * c.K * c.K
+	parallelFor(n, n*rows, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					row := cols.Data[((i*oh+oy)*ow+ox)*patch:]
-					t := 0
-					for ch := 0; ch < c.InC; ch++ {
-						base := ((i*c.InC + ch) * h) * w
-						for ky := 0; ky < c.K; ky++ {
-							src := base + (oy*c.Stride+ky)*w + ox*c.Stride
-							// Unrolled taps for the common kernel sizes:
-							// a memmove call costs more than 3-5 scalar
-							// stores.
-							switch c.K {
-							case 3:
-								s := x.Data[src : src+3 : src+3]
-								d := row[t : t+3 : t+3]
-								d[0], d[1], d[2] = s[0], s[1], s[2]
-							case 5:
-								s := x.Data[src : src+5 : src+5]
-								d := row[t : t+5 : t+5]
-								d[0], d[1], d[2], d[3], d[4] = s[0], s[1], s[2], s[3], s[4]
-							default:
-								copy(row[t:t+c.K], x.Data[src:src+c.K])
-							}
-							t += c.K
-						}
+			c.im2colImage(x.Data, cols.Data[i*rows:(i+1)*rows], i, h, w, oh, ow)
+		}
+	})
+}
+
+// im2colImage writes image i's im2col rows into cols ([P, T]). For each
+// output row it sweeps every (channel, kernel row) pair along one
+// contiguous input row, copying K taps per output position.
+func (c *Conv2D) im2colImage(x, cols []float64, i, h, w, oh, ow int) {
+	k, s := c.K, c.Stride
+	patch := c.InC * k * k
+	for oy := 0; oy < oh; oy++ {
+		for ch := 0; ch < c.InC; ch++ {
+			for ky := 0; ky < k; ky++ {
+				r := ((i*c.InC+ch)*h + oy*s + ky) * w
+				src := x[r : r+w]
+				dst := cols[oy*ow*patch+(ch*k+ky)*k:]
+				// Unrolled taps for the common kernel sizes: a memmove
+				// call costs more than 3-5 scalar stores.
+				switch k {
+				case 3:
+					for ox := 0; ox < ow; ox++ {
+						sv := src[ox*s : ox*s+3 : ox*s+3]
+						d := dst[ox*patch : ox*patch+3 : ox*patch+3]
+						d[0], d[1], d[2] = sv[0], sv[1], sv[2]
+					}
+				case 5:
+					for ox := 0; ox < ow; ox++ {
+						sv := src[ox*s : ox*s+5 : ox*s+5]
+						d := dst[ox*patch : ox*patch+5 : ox*patch+5]
+						d[0], d[1], d[2], d[3], d[4] = sv[0], sv[1], sv[2], sv[3], sv[4]
+					}
+				default:
+					for ox := 0; ox < ow; ox++ {
+						copy(dst[ox*patch:ox*patch+k], src[ox*s:ox*s+k])
 					}
 				}
 			}
 		}
 	}
-	parallelFor(n, n*oh*ow*patch, work)
 }
 
 func (c *Conv2D) forwardNaive(x *Tensor, n, h, w, oh, ow int) (*Tensor, error) {
@@ -179,7 +202,7 @@ func (c *Conv2D) backward(grad *Tensor, needDX bool) (*Tensor, error) {
 	}
 	n, h, w := c.lastX.Shape[0], c.lastX.Shape[2], c.lastX.Shape[3]
 	oh, ow := c.outH, c.outW
-	patch := c.InC * c.K * c.K
+	pos, patch := oh*ow, c.InC*c.K*c.K
 
 	// Bias gradient.
 	for i := 0; i < n; i++ {
@@ -193,70 +216,132 @@ func (c *Conv2D) backward(grad *Tensor, needDX bool) (*Tensor, error) {
 		}
 	}
 
-	// Rearrange grad [n, f, oh, ow] into [n*oh*ow, f].
-	gmat := getScratch(n*oh*ow, c.OutC)
-	for i := 0; i < n; i++ {
-		for f := 0; f < c.OutC; f++ {
-			base := ((i*c.OutC + f) * oh) * ow
-			for p := 0; p < oh*ow; p++ {
-				gmat.Data[(i*oh*ow+p)*c.OutC+f] = grad.Data[base+p]
-			}
-		}
-	}
-
 	if c.cols == nil {
 		// Naive path: rebuild the im2col matrix for gradient computation.
-		cols := getScratch(n*oh*ow, patch)
+		cols := getScratch(n*pos, patch)
 		c.im2col(c.lastX, cols, n, h, w, oh, ow)
 		c.cols = cols
 	}
 
-	// dW[f, tap] = sum_pos gmat[pos, f] * cols[pos, tap]  (= gmatᵀ × cols)
 	dw := getScratch(c.OutC, patch)
-	gemmTransAInto(gmat.Data, c.cols.Data, dw.Data, n*oh*ow, c.OutC, patch)
+	convWeightGrad(grad.Data, c.cols.Data, dw.Data, n, c.OutC, pos, patch)
 	if err := c.w.Grad.AddScaled(dw, 1); err != nil {
 		return nil, err
 	}
 	releaseScratch(dw)
-
+	releaseScratch(c.cols)
+	c.cols = nil
 	if !needDX {
-		releaseScratch(gmat)
-		releaseScratch(c.cols)
-		c.cols = nil
 		return nil, nil
 	}
 
-	// dCols = gmat × wMat  → scatter back (col2im).
-	wMat, err := c.w.W.Reshape(c.OutC, patch)
-	if err != nil {
-		return nil, err
-	}
-	dcols := getScratch(n*oh*ow, patch)
-	gemmInto(gmat.Data, wMat.Data, dcols.Data, n*oh*ow, c.OutC, patch)
-	releaseScratch(gmat)
+	// Per image: dcols = grad_iᵀ × W, then col2im into dx_i.
 	dx := NewTensor(n, c.InC, h, w)
-	for i := 0; i < n; i++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				row := dcols.Data[((i*oh+oy)*ow+ox)*patch:]
-				t := 0
-				for ch := 0; ch < c.InC; ch++ {
-					base := ((i*c.InC + ch) * h) * w
-					for ky := 0; ky < c.K; ky++ {
-						dst := base + (oy*c.Stride+ky)*w + ox*c.Stride
-						for kx := 0; kx < c.K; kx++ {
-							dx.Data[dst+kx] += row[t]
-							t++
+	gSize, xSize := c.OutC*pos, c.InC*h*w
+	parallelFor(n, n*pos*patch*c.OutC, func(i0, i1 int) {
+		dcols := getScratch(pos, patch)
+		for i := i0; i < i1; i++ {
+			gemmTransARows(grad.Data[i*gSize:(i+1)*gSize], c.w.W.Data, dcols.Data, c.OutC, pos, patch, 0, pos)
+			c.col2imImage(dcols.Data, dx.Data[i*xSize:(i+1)*xSize], h, w, oh, ow)
+		}
+		releaseScratch(dcols)
+	})
+	return dx, nil
+}
+
+// convWeightGrad computes dW [F, T] = Σ_q grad(q) ⊗ cols[q] over the
+// N·P output positions q, reading grad in its NCHW layout. Each element
+// is summed exactly as gemmTransAInto over a [N·P, F] gradient matrix
+// would sum it: 4-position blocks in q order (skipped when all four
+// gradients are zero), then the remainder positions. Workers own
+// disjoint ranges of f, and each streams cols once for its whole range.
+func convWeightGrad(grad, cols, dw []float64, n, nf, pos, patch int) {
+	m := n * pos
+	// g is the gradient of channel f at position q.
+	g := func(q, f int) float64 {
+		i := q / pos
+		return grad[(i*nf+f)*pos+q-i*pos]
+	}
+	parallelFor(nf, m*nf*patch, func(f0, f1 int) {
+		for j := range dw[f0*patch : f1*patch] {
+			dw[f0*patch+j] = 0
+		}
+		q := 0
+		for ; q+4 <= m; q += 4 {
+			c0 := cols[q*patch : (q+1)*patch]
+			c1 := cols[(q+1)*patch : (q+2)*patch]
+			c2 := cols[(q+2)*patch : (q+3)*patch]
+			c3 := cols[(q+3)*patch : (q+4)*patch]
+			i, p := q/pos, q%pos
+			for f := f0; f < f1; f++ {
+				var g0, g1, g2, g3 float64
+				if p+4 <= pos {
+					gf := grad[(i*nf+f)*pos+p:]
+					g0, g1, g2, g3 = gf[0], gf[1], gf[2], gf[3]
+				} else { // the block straddles two images
+					g0, g1, g2, g3 = g(q, f), g(q+1, f), g(q+2, f), g(q+3, f)
+				}
+				if g0 == 0 && g1 == 0 && g2 == 0 && g3 == 0 {
+					continue
+				}
+				axpy4(dw[f*patch:(f+1)*patch], c0, c1, c2, c3, g0, g1, g2, g3)
+			}
+		}
+		for ; q < m; q++ {
+			cq := cols[q*patch : (q+1)*patch]
+			for f := f0; f < f1; f++ {
+				if gv := g(q, f); gv != 0 {
+					axpy1(dw[f*patch:(f+1)*patch], cq, gv)
+				}
+			}
+		}
+	})
+}
+
+// col2imImage scatter-adds one image's dcols ([P, T]) into its dx slice
+// ([C, H, W]), the transpose of im2colImage. For any one dx element the
+// loop order visits output positions in (oy, ox) order, as a plain
+// per-position scatter would, so the sums round identically.
+func (c *Conv2D) col2imImage(dcols, dx []float64, h, w, oh, ow int) {
+	k, s := c.K, c.Stride
+	patch := c.InC * k * k
+	for oy := 0; oy < oh; oy++ {
+		for ch := 0; ch < c.InC; ch++ {
+			for ky := 0; ky < k; ky++ {
+				r := (ch*h + oy*s + ky) * w
+				dst := dx[r : r+w]
+				src := dcols[oy*ow*patch+(ch*k+ky)*k:]
+				switch k {
+				case 3:
+					for ox := 0; ox < ow; ox++ {
+						sv := src[ox*patch : ox*patch+3 : ox*patch+3]
+						d := dst[ox*s : ox*s+3 : ox*s+3]
+						d[0] += sv[0]
+						d[1] += sv[1]
+						d[2] += sv[2]
+					}
+				case 5:
+					for ox := 0; ox < ow; ox++ {
+						sv := src[ox*patch : ox*patch+5 : ox*patch+5]
+						d := dst[ox*s : ox*s+5 : ox*s+5]
+						d[0] += sv[0]
+						d[1] += sv[1]
+						d[2] += sv[2]
+						d[3] += sv[3]
+						d[4] += sv[4]
+					}
+				default:
+					for ox := 0; ox < ow; ox++ {
+						sv := src[ox*patch : ox*patch+k]
+						d := dst[ox*s : ox*s+k]
+						for kx, v := range sv {
+							d[kx] += v
 						}
 					}
 				}
 			}
 		}
 	}
-	releaseScratch(dcols)
-	releaseScratch(c.cols)
-	c.cols = nil
-	return dx, nil
 }
 
 // Params implements Layer.

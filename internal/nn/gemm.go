@@ -22,6 +22,15 @@ package nn
 // them, in the same k-order per element. The two paths therefore agree
 // bit for bit, which gemm_amd64_test.go checks; the Go code here is the
 // only path on other hosts.
+//
+// The A×Bᵀ tile can also store C transposed (gemmTransBT), which lets
+// Conv2D write its [F, positions] NCHW output straight from the im2col
+// GEMM. The transposed 4×8 tile (dot4x8TAVX2) runs the same k-loop into
+// the same eight accumulators as the row-major one, then moves each 4×4
+// quarter through an in-register transpose (unpack and lane permute,
+// which copy values without arithmetic) before storing. Only where each
+// element lands changes, never how it is summed, so the transposed
+// result is bit for bit the transpose of gemmTransBInto's.
 
 const (
 	// gemmTileM × gemmTileN is the C tile each parallel work unit owns in
@@ -122,40 +131,45 @@ func gemmBiasInto(a, b, bias, c []float64, m, k, n int, epi func(lo, hi int)) {
 
 // gemmTransAInto computes C = Aᵀ×B (overwrite) for A [k,m], B [k,n],
 // C [m,n]. Workers own disjoint row blocks of C and sweep all of A/B, so
-// the k-order per element is fixed regardless of worker count. The column
-// of A is read with stride m; blocking k keeps the active B rows in L1.
+// the k-order per element is fixed regardless of worker count.
 func gemmTransAInto(a, b, c []float64, k, m, n int) {
-	work := func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			ci := c[i*n : (i+1)*n]
-			for j := range ci {
-				ci[j] = 0
+	parallelFor(m, m*k*n, func(i0, i1 int) {
+		gemmTransARows(a, b, c, k, m, n, i0, i1)
+	})
+}
+
+// gemmTransARows computes rows [i0, i1) of C = Aᵀ×B, serially. The
+// column of A is read with stride m; four k-steps per pass keep the
+// active B rows in L1.
+func gemmTransARows(a, b, c []float64, k, m, n, i0, i1 int) {
+	for i := i0; i < i1; i++ {
+		ci := c[i*n : (i+1)*n]
+		for j := range ci {
+			ci[j] = 0
+		}
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			av0 := a[p*m+i]
+			av1 := a[(p+1)*m+i]
+			av2 := a[(p+2)*m+i]
+			av3 := a[(p+3)*m+i]
+			if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
+				continue
 			}
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				av0 := a[p*m+i]
-				av1 := a[(p+1)*m+i]
-				av2 := a[(p+2)*m+i]
-				av3 := a[(p+3)*m+i]
-				if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-					continue
-				}
-				b0 := b[p*n : (p+1)*n]
-				b1 := b[(p+1)*n : (p+2)*n]
-				b2 := b[(p+2)*n : (p+3)*n]
-				b3 := b[(p+3)*n : (p+4)*n]
-				axpy4(ci, b0, b1, b2, b3, av0, av1, av2, av3)
+			b0 := b[p*n : (p+1)*n]
+			b1 := b[(p+1)*n : (p+2)*n]
+			b2 := b[(p+2)*n : (p+3)*n]
+			b3 := b[(p+3)*n : (p+4)*n]
+			axpy4(ci, b0, b1, b2, b3, av0, av1, av2, av3)
+		}
+		for ; p < k; p++ {
+			av := a[p*m+i]
+			if av == 0 {
+				continue
 			}
-			for ; p < k; p++ {
-				av := a[p*m+i]
-				if av == 0 {
-					continue
-				}
-				axpy1(ci, b[p*n:(p+1)*n], av)
-			}
+			axpy1(ci, b[p*n:(p+1)*n], av)
 		}
 	}
-	parallelFor(m, m*k*n, work)
 }
 
 // gemmTransBInto computes C = A×Bᵀ (overwrite) for A [m,k], B [n,k],
@@ -176,19 +190,29 @@ func gemmTransBInto(a, b, c []float64, m, k, n int) {
 		if j1 > n {
 			j1 = n
 		}
-		gemmTransBTile(a, b, c, k, n, i0, i1, j0, j1)
+		gemmTransBTile(a, b, c, k, n, false, i0, i1, j0, j1)
 	})
 }
 
-// gemmTransBTileGo computes the C tile [i0:i1) × [j0:j1) of C = A×Bᵀ.
-// Every element is s = 0; s += a[i][p]*b[j][p] for p = 0..k-1.
-func gemmTransBTileGo(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
+// gemmTransBT computes C = A×Bᵀ for A [m,k], B [n,k] and stores it
+// transposed, as C [n,m], serially: the caller parallelizes over
+// independent problems (Conv2D over images).
+func gemmTransBT(a, b, c []float64, m, k, n int) {
+	gemmTransBTile(a, b, c, k, m, true, 0, m, 0, n)
+}
+
+// gemmTransBTileGo computes the C tile [i0:i1) × [j0:j1) of C = A×Bᵀ,
+// storing element (i, j) at c[i*ldc+j], or at c[j*ldc+i] when trans is
+// set. Every element is s = 0; s += a[i][p]*b[j][p] for p = 0..k-1.
+func gemmTransBTileGo(a, b, c []float64, k, ldc int, trans bool, i0, i1, j0, j1 int) {
+	rs, cs := ldc, 1 // C strides along i and j
+	if trans {
+		rs, cs = 1, ldc
+	}
 	i := i0
 	for ; i+2 <= i1; i += 2 {
 		a0 := a[i*k : (i+1)*k]
 		a1 := a[(i+1)*k : (i+2)*k]
-		c0 := c[i*n : (i+1)*n]
-		c1 := c[(i+1)*n : (i+2)*n]
 		j := j0
 		for ; j+4 <= j1; j += 4 {
 			b0 := b[j*k : (j+1)*k]
@@ -208,8 +232,9 @@ func gemmTransBTileGo(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 				s12 += av1 * bv2
 				s13 += av1 * bv3
 			}
-			c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-			c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
+			o0, o1 := i*rs+j*cs, (i+1)*rs+j*cs
+			c[o0], c[o0+cs], c[o0+2*cs], c[o0+3*cs] = s00, s01, s02, s03
+			c[o1], c[o1+cs], c[o1+2*cs], c[o1+3*cs] = s10, s11, s12, s13
 		}
 		for ; j < j1; j++ {
 			bj := b[j*k : (j+1)*k]
@@ -218,12 +243,11 @@ func gemmTransBTileGo(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 				s0 += a0[p] * bj[p]
 				s1 += a1[p] * bj[p]
 			}
-			c0[j], c1[j] = s0, s1
+			c[i*rs+j*cs], c[(i+1)*rs+j*cs] = s0, s1
 		}
 	}
 	for ; i < i1; i++ {
 		ai := a[i*k : (i+1)*k]
-		ci := c[i*n : (i+1)*n]
 		j := j0
 		for ; j+4 <= j1; j += 4 {
 			b0 := b[j*k : (j+1)*k]
@@ -238,7 +262,8 @@ func gemmTransBTileGo(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 				s2 += av * b2[p]
 				s3 += av * b3[p]
 			}
-			ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
+			o := i*rs + j*cs
+			c[o], c[o+cs], c[o+2*cs], c[o+3*cs] = s0, s1, s2, s3
 		}
 		for ; j < j1; j++ {
 			bj := b[j*k : (j+1)*k]
@@ -246,7 +271,7 @@ func gemmTransBTileGo(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 			for p := 0; p < k; p++ {
 				s += ai[p] * bj[p]
 			}
-			ci[j] = s
+			c[i*rs+j*cs] = s
 		}
 	}
 }

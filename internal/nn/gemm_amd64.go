@@ -45,6 +45,12 @@ func axpy1AVX2(c, b *float64, n int, a float64)
 //go:noescape
 func dot4x8AVX2(a *float64, lda int, panel *float64, k int, c *float64, ldc int)
 
+// dot4x8TAVX2 computes the same block as dot4x8AVX2 and stores it
+// transposed: c[j*ldc+r] for r < 4, j < 8.
+//
+//go:noescape
+func dot4x8TAVX2(a *float64, lda int, panel *float64, k int, c *float64, ldc int)
+
 // axpy4 is the four-k-step inner loop of the A×B kernels; see axpy4Go.
 // Rows shorter than one vector stay in Go, where no call overhead is
 // paid; the assembly needs at least one element either way.
@@ -69,20 +75,26 @@ func axpy1(c, b []float64, a float64) {
 	axpy1AVX2(&c[0], &b[0], n, a)
 }
 
-// gemmTransBTile computes the C tile [i0:i1) × [j0:j1) of C = A×Bᵀ. With
-// AVX2 it packs each 8-column panel of Bᵀ into scratch and sweeps it with
-// the 4×8 register tile; edge rows and columns take gemmTransBTileGo.
-func gemmTransBTile(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
+// gemmTransBTile computes the C tile [i0:i1) × [j0:j1) of C = A×Bᵀ,
+// storing element (i, j) at c[i*ldc+j], or at c[j*ldc+i] when trans is
+// set. With AVX2 it packs each 8-column panel of Bᵀ into scratch and
+// sweeps it with the 4×8 register tile; edge rows and columns take
+// gemmTransBTileGo.
+func gemmTransBTile(a, b, c []float64, k, ldc int, trans bool, i0, i1, j0, j1 int) {
 	if !useAVX2 || k == 0 || i1-i0 < 4 || j1-j0 < 8 {
-		gemmTransBTileGo(a, b, c, k, n, i0, i1, j0, j1)
+		gemmTransBTileGo(a, b, c, k, ldc, trans, i0, i1, j0, j1)
 		return
 	}
 	i4 := i0 + (i1-i0)&^3
 	j8 := j0 + (j1-j0)&^7
-	// The assembly reads rows [i0, i4) of A and writes rows [i0, i4) ×
-	// columns [j0, j8) of C: bound-check their last elements here.
+	// The assembly reads rows [i0, i4) of A and writes the elements
+	// [i0, i4) × [j0, j8) of C: bound-check the last of each here.
 	_ = a[i4*k-1]
-	_ = c[(i4-1)*n+j8-1]
+	rs, cs := ldc, 1 // C strides along i and j
+	if trans {
+		rs, cs = 1, ldc
+	}
+	_ = c[(i4-1)*rs+(j8-1)*cs]
 	scratch := getScratch(8 * k)
 	panel := scratch.Data
 	for j := j0; j < j8; j += 8 {
@@ -93,10 +105,14 @@ func gemmTransBTile(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 			}
 		}
 		for i := i0; i < i4; i += 4 {
-			dot4x8AVX2(&a[i*k], k, &panel[0], k, &c[i*n+j], n)
+			if trans {
+				dot4x8TAVX2(&a[i*k], k, &panel[0], k, &c[j*ldc+i], ldc)
+			} else {
+				dot4x8AVX2(&a[i*k], k, &panel[0], k, &c[i*ldc+j], ldc)
+			}
 		}
 	}
 	releaseScratch(scratch)
-	gemmTransBTileGo(a, b, c, k, n, i4, i1, j0, j8)
-	gemmTransBTileGo(a, b, c, k, n, i0, i1, j8, j1)
+	gemmTransBTileGo(a, b, c, k, ldc, trans, i4, i1, j0, j8)
+	gemmTransBTileGo(a, b, c, k, ldc, trans, i0, i1, j8, j1)
 }

@@ -4,6 +4,84 @@
 // IEEE operations, in the same order, as the Go loop it replaces:
 // separate VMULPD/VADDPD (or VMULSD/VADDSD in tails), never FMA.
 
+// DOT4X8 is the k-loop shared by the two 4×8 tiles below. Eight
+// accumulators, Y0-Y7, hold the 4×8 block of C, two YMM per row of A.
+// Each k-step loads one packed 8-wide row of Bᵀ and broadcasts one A
+// value per row: s = s + a*b, starting from s = 0, in p order. It leaves
+// c in DI and ldc, in bytes, in R11.
+#define DOT4X8 \
+	MOVQ a+0(FP), SI; \
+	MOVQ lda+8(FP), R11; \
+	SHLQ $3, R11; \
+	LEAQ (SI)(R11*1), R8; \
+	LEAQ (R8)(R11*1), R9; \
+	LEAQ (R9)(R11*1), R10; \
+	MOVQ panel+16(FP), DX; \
+	MOVQ k+24(FP), CX; \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7; \
+	XORQ BX, BX; \
+	TESTQ CX, CX; \
+	JZ   dotdone; \
+dotloop: \
+	VMOVUPD (DX), Y8; \
+	VMOVUPD 32(DX), Y9; \
+	VBROADCASTSD (SI)(BX*8), Y10; \
+	VMULPD Y8, Y10, Y11; \
+	VADDPD Y11, Y0, Y0; \
+	VMULPD Y9, Y10, Y12; \
+	VADDPD Y12, Y1, Y1; \
+	VBROADCASTSD (R8)(BX*8), Y13; \
+	VMULPD Y8, Y13, Y11; \
+	VADDPD Y11, Y2, Y2; \
+	VMULPD Y9, Y13, Y12; \
+	VADDPD Y12, Y3, Y3; \
+	VBROADCASTSD (R9)(BX*8), Y10; \
+	VMULPD Y8, Y10, Y11; \
+	VADDPD Y11, Y4, Y4; \
+	VMULPD Y9, Y10, Y12; \
+	VADDPD Y12, Y5, Y5; \
+	VBROADCASTSD (R10)(BX*8), Y13; \
+	VMULPD Y8, Y13, Y11; \
+	VADDPD Y11, Y6, Y6; \
+	VMULPD Y9, Y13, Y12; \
+	VADDPD Y12, Y7, Y7; \
+	ADDQ $64, DX; \
+	INCQ BX; \
+	CMPQ BX, CX; \
+	JLT  dotloop; \
+dotdone: \
+	MOVQ c+32(FP), DI; \
+	MOVQ ldc+40(FP), R11; \
+	SHLQ $3, R11
+
+// TRANSPOSE4 transposes the 4×4 block whose rows are r0-r3 and stores
+// its columns, four values each, at DI, DI+ldc, DI+2*ldc and DI+3*ldc,
+// leaving DI at DI+4*ldc. Only moves and shuffles: no value changes.
+#define TRANSPOSE4(r0, r1, r2, r3) \
+	VUNPCKLPD r1, r0, Y8; \
+	VUNPCKHPD r1, r0, Y9; \
+	VUNPCKLPD r3, r2, Y10; \
+	VUNPCKHPD r3, r2, Y11; \
+	VPERM2F128 $0x20, Y10, Y8, Y12; \
+	VPERM2F128 $0x20, Y11, Y9, Y13; \
+	VPERM2F128 $0x31, Y10, Y8, Y14; \
+	VPERM2F128 $0x31, Y11, Y9, Y15; \
+	VMOVUPD Y12, (DI); \
+	ADDQ R11, DI; \
+	VMOVUPD Y13, (DI); \
+	ADDQ R11, DI; \
+	VMOVUPD Y14, (DI); \
+	ADDQ R11, DI; \
+	VMOVUPD Y15, (DI); \
+	ADDQ R11, DI
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX
@@ -111,62 +189,9 @@ axpy1done:
 
 // func dot4x8AVX2(a *float64, lda int, panel *float64, k int, c *float64, ldc int)
 //
-// Eight accumulators hold the 4×8 block of C, two YMM per row. Each
-// k-step loads one packed 8-wide row of Bᵀ and broadcasts one A value
-// per row: s = s + a*b, starting from s = 0, in p order.
+// Stores row r of the block at c[r*ldc:].
 TEXT ·dot4x8AVX2(SB), NOSPLIT, $0-48
-	MOVQ a+0(FP), SI
-	MOVQ lda+8(FP), R11
-	SHLQ $3, R11
-	LEAQ (SI)(R11*1), R8
-	LEAQ (R8)(R11*1), R9
-	LEAQ (R9)(R11*1), R10
-	MOVQ panel+16(FP), DX
-	MOVQ k+24(FP), CX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	XORQ BX, BX
-	TESTQ CX, CX
-	JZ   dotstore
-
-dotloop:
-	VMOVUPD (DX), Y8
-	VMOVUPD 32(DX), Y9
-	VBROADCASTSD (SI)(BX*8), Y10
-	VMULPD Y8, Y10, Y11
-	VADDPD Y11, Y0, Y0
-	VMULPD Y9, Y10, Y12
-	VADDPD Y12, Y1, Y1
-	VBROADCASTSD (R8)(BX*8), Y13
-	VMULPD Y8, Y13, Y11
-	VADDPD Y11, Y2, Y2
-	VMULPD Y9, Y13, Y12
-	VADDPD Y12, Y3, Y3
-	VBROADCASTSD (R9)(BX*8), Y10
-	VMULPD Y8, Y10, Y11
-	VADDPD Y11, Y4, Y4
-	VMULPD Y9, Y10, Y12
-	VADDPD Y12, Y5, Y5
-	VBROADCASTSD (R10)(BX*8), Y13
-	VMULPD Y8, Y13, Y11
-	VADDPD Y11, Y6, Y6
-	VMULPD Y9, Y13, Y12
-	VADDPD Y12, Y7, Y7
-	ADDQ $64, DX
-	INCQ BX
-	CMPQ BX, CX
-	JLT  dotloop
-
-dotstore:
-	MOVQ c+32(FP), DI
-	MOVQ ldc+40(FP), R11
-	SHLQ $3, R11
+	DOT4X8
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	ADDQ R11, DI
@@ -178,5 +203,16 @@ dotstore:
 	ADDQ R11, DI
 	VMOVUPD Y6, (DI)
 	VMOVUPD Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// func dot4x8TAVX2(a *float64, lda int, panel *float64, k int, c *float64, ldc int)
+//
+// The same block as dot4x8AVX2, stored transposed: column j of the block
+// at c[j*ldc:], four values wide.
+TEXT ·dot4x8TAVX2(SB), NOSPLIT, $0-48
+	DOT4X8
+	TRANSPOSE4(Y0, Y2, Y4, Y6)
+	TRANSPOSE4(Y1, Y3, Y5, Y7)
 	VZEROUPPER
 	RET

@@ -64,18 +64,9 @@ func transpose(x []float64, rows, cols int) []float64 {
 	return t
 }
 
-// sameBits reports whether two results agree bit for bit, treating any
-// two NaNs as equal (their payloads may legitimately differ).
-func sameBits(a, b float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return math.IsNaN(a) && math.IsNaN(b)
-	}
-	return math.Float64bits(a) == math.Float64bits(b)
-}
-
-// gemmKernels runs each of the four raw kernels for an m×k×n problem.
-// The operand layouts follow the kernels: A is [m,k] (or [k,m] for
-// Aᵀ×B), B is [k,n] (or [n,k] for A×Bᵀ).
+// gemmKernels runs each of the raw kernels for an m×k×n problem. The
+// operand layouts follow the kernels: A is [m,k] (or [k,m] for Aᵀ×B), B
+// is [k,n] (or [n,k] for A×Bᵀ); gemmTransBT writes C as [n,m].
 var gemmKernels = []struct {
 	name string
 	run  func(a, b, bias, c []float64, m, k, n int)
@@ -84,6 +75,7 @@ var gemmKernels = []struct {
 	{"gemmBiasInto", func(a, b, bias, c []float64, m, k, n int) { gemmBiasInto(a, b, bias, c, m, k, n, nil) }},
 	{"gemmTransAInto", func(a, b, _, c []float64, m, k, n int) { gemmTransAInto(a, b, c, k, m, n) }},
 	{"gemmTransBInto", func(a, b, _, c []float64, m, k, n int) { gemmTransBInto(a, b, c, m, k, n) }},
+	{"gemmTransBT", func(a, b, _, c []float64, m, k, n int) { gemmTransBT(a, b, c, m, k, n) }},
 }
 
 // TestGEMMAVX2MatchesGo runs every kernel with the AVX2 inner loops and
@@ -111,7 +103,7 @@ func TestGEMMAVX2MatchesGo(t *testing.T) {
 							a = transpose(a, m, k)
 						}
 						bRow := n
-						if kern.name == "gemmTransBInto" {
+						if kern.name == "gemmTransBInto" || kern.name == "gemmTransBT" {
 							bRow = k
 						}
 						fillOperand(rng, b, bRow, special)
@@ -138,6 +130,14 @@ func TestGEMMAVX2MatchesGo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConv2DMatchesRefGo repeats TestConv2DMatchesRef on the Go loops,
+// the path of hosts without AVX2.
+func TestConv2DMatchesRefGo(t *testing.T) {
+	defer func(prev bool) { useAVX2 = prev }(useAVX2)
+	useAVX2 = false
+	checkConv2DMatchesRef(t)
 }
 
 // BenchmarkGEMMPaths compares the AVX2 and Go paths of each kernel,

@@ -10,6 +10,6 @@ func axpy4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 
 func axpy1(c, b []float64, a float64) { axpy1Go(c, b, a) }
 
-func gemmTransBTile(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
-	gemmTransBTileGo(a, b, c, k, n, i0, i1, j0, j1)
+func gemmTransBTile(a, b, c []float64, k, ldc int, trans bool, i0, i1, j0, j1 int) {
+	gemmTransBTileGo(a, b, c, k, ldc, trans, i0, i1, j0, j1)
 }

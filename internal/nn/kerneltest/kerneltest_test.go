@@ -291,6 +291,63 @@ func BenchmarkGEMM(b *testing.B) {
 	}
 }
 
+// BenchmarkConv2DTrainStep measures one Conv2D forward plus backward
+// pass at the two encoder shapes of the pilot models: conv1 is first in
+// its Sequential, so its backward computes parameter gradients only;
+// conv2 also computes the input gradient. GFLOP/s counts 2·N·P·T·F flops
+// (P output positions, T = C·K·K taps, F filters) for each of the
+// GEMMs a step runs: forward, dW and, for conv2, dX.
+func BenchmarkConv2DTrainStep(b *testing.B) {
+	for _, s := range []struct {
+		name              string
+		n, c, h, w, k, st int
+		f                 int
+		fullBackward      bool
+	}{
+		{"conv1", 32, 1, 48, 64, 5, 2, 8, false},
+		{"conv2", 32, 8, 22, 30, 3, 2, 16, true},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			conv, err := nn.NewConv2D(s.c, s.f, s.k, s.st, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			seq := &nn.Sequential{Layers: []nn.Layer{conv}}
+			x := nn.NewTensor(s.n, s.c, s.h, s.w)
+			x.RandNormal(rng, 1)
+			y, err := conv.Forward(x, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			grad := y.Clone()
+			grad.RandNormal(rng, 1)
+			gemms := 2.0
+			if s.fullBackward {
+				gemms = 3
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := conv.Forward(x, true); err != nil {
+					b.Fatal(err)
+				}
+				if s.fullBackward {
+					_, err = conv.Backward(grad)
+				} else {
+					err = seq.Backward(grad)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			p := y.Size() / (s.n * s.f)
+			flops := gemms * 2 * float64(s.n*p*s.c*s.k*s.k*s.f) * float64(b.N)
+			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
 func benchName(name string, s [3]int) string {
 	return name + "/" +
 		itoa(s[0]) + "x" + itoa(s[1]) + "x" + itoa(s[2])

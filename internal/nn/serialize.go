@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // savedParam is the on-wire form of one parameter tensor.
@@ -66,6 +67,9 @@ func LoadParams(r io.Reader, params []*Param) (map[string]string, error) {
 	}
 	for i, sp := range cp.Params {
 		p := params[i]
+		if !slices.Equal(sp.Shape, p.W.Shape) {
+			return nil, fmt.Errorf("nn: param %d (%s) shape %v != model %v", i, sp.Name, sp.Shape, p.W.Shape)
+		}
 		if len(sp.Data) != p.W.Size() {
 			return nil, fmt.Errorf("nn: param %d (%s) size %d != model %d", i, sp.Name, len(sp.Data), p.W.Size())
 		}

@@ -3,6 +3,8 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -205,7 +207,7 @@ func TestSaveLoadTrainedModel(t *testing.T) {
 }
 
 // TestLoadParamsRejects covers the decode error paths: wrong magic,
-// param-count mismatch and shape-size mismatch.
+// param-count mismatch, size mismatch and shape mismatch at equal size.
 func TestLoadParamsRejects(t *testing.T) {
 	var good bytes.Buffer
 	if err := SaveParams(&good, goldenParams(), nil); err != nil {
@@ -235,9 +237,64 @@ func TestLoadParamsRejects(t *testing.T) {
 			t.Fatal("size mismatch accepted")
 		}
 	})
+	t.Run("param shape", func(t *testing.T) {
+		// conv.w is saved as [4,1,3,3]: the same 36 elements in another
+		// shape are a different architecture, not a compatible one.
+		for _, shape := range [][]int{{1, 4, 3, 3}, {36}, {4, 1, 9}} {
+			ps := goldenParams()
+			ps[0] = newParam("conv.w", shape...)
+			if _, err := LoadParams(bytes.NewReader(good.Bytes()), ps); err == nil {
+				t.Errorf("shape %v accepted for a checkpoint saved as %v", shape, goldenParams()[0].W.Shape)
+			}
+		}
+	})
 	t.Run("garbage stream", func(t *testing.T) {
 		if _, err := LoadMeta(bytes.NewReader([]byte("not gob"))); err == nil {
 			t.Fatal("garbage accepted")
+		}
+	})
+}
+
+// FuzzLoadParams feeds arbitrary bytes to LoadParams against the golden
+// model's parameters. It must never panic, and whatever it accepts must
+// round-trip: saving the loaded parameters and metadata and loading them
+// again gives the same bits.
+func FuzzLoadParams(f *testing.F) {
+	blob, err := os.ReadFile(goldenCheckpoint)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, goldenParams(), nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("not gob"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ps := goldenParams()
+		meta, err := LoadParams(bytes.NewReader(data), ps)
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := SaveParams(&out, ps, meta); err != nil {
+			t.Fatalf("save accepted checkpoint: %v", err)
+		}
+		again := goldenParams()
+		meta2, err := LoadParams(&out, again)
+		if err != nil {
+			t.Fatalf("reload saved checkpoint: %v", err)
+		}
+		if !maps.Equal(meta, meta2) {
+			t.Fatalf("meta %v reloaded as %v", meta, meta2)
+		}
+		for i := range ps {
+			for j, v := range ps[i].W.Data {
+				if math.Float64bits(v) != math.Float64bits(again[i].W.Data[j]) {
+					t.Fatalf("param %d element %d: %v reloaded as %v", i, j, v, again[i].W.Data[j])
+				}
+			}
 		}
 	})
 }

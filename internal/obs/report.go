@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -25,9 +27,11 @@ type TraceSpanRec struct {
 	RawStart string `json:"start"`
 }
 
-// End returns the span's end instant (start + duration).
+// End returns the span's end instant (start + duration). The duration is
+// rounded back to whole nanoseconds, the resolution it was recorded at,
+// so a span that started where another ended compares as sequential.
 func (rec *TraceSpanRec) End() time.Time {
-	return rec.Start.Add(time.Duration(rec.DurMS * float64(time.Millisecond)))
+	return rec.Start.Add(time.Duration(math.Round(rec.DurMS * float64(time.Millisecond))))
 }
 
 // SimSeconds sums the span's sim_*_s attributes — its total explicitly
@@ -172,24 +176,7 @@ func WriteTraceReport(w io.Writer, recs []TraceSpanRec) error {
 
 	if len(bestRoots) > 0 {
 		fmt.Fprintf(w, "\ncritical path:\n")
-		rec := bestRoots[0]
-		for rec != nil {
-			fmt.Fprintf(w, "  %s (%.3f ms", rec.Name, rec.DurMS)
-			if s := rec.SimSeconds(); s > 0 {
-				fmt.Fprintf(w, ", sim %.3f s", s)
-			}
-			fmt.Fprintf(w, ")\n")
-			// Descend into the child whose end time is latest — the one
-			// the parent was waiting on when it finished.
-			var next *TraceSpanRec
-			for _, c := range children[rec.ID] {
-				if next == nil || c.End().After(next.End()) ||
-					(c.End().Equal(next.End()) && c.ID < next.ID) {
-					next = c
-				}
-			}
-			rec = next
-		}
+		writeCriticalPath(w, bestRoots[0], children, 0)
 	}
 
 	fmt.Fprintf(w, "\norphans: %d\n", len(orphans))
@@ -199,6 +186,50 @@ func WriteTraceReport(w io.Writer, recs []TraceSpanRec) error {
 			len(orphans), strings.Join(orphans, ", "))
 	}
 	return nil
+}
+
+// writeCriticalPath prints the critical path under rec, one step per
+// line, depth first. The steps under a span are the children it waited
+// on, found by walking back from its end: the child that ends last, then
+// the last to end at or before that one started, and so on. Each step
+// shows its self time, the part of its duration no step under it
+// covers, and its child time, the sum of those steps' durations.
+func writeCriticalPath(w io.Writer, rec *TraceSpanRec, children map[string][]*TraceSpanRec, depth int) {
+	var path []*TraceSpanRec
+	for {
+		var next *TraceSpanRec
+		for _, c := range children[rec.ID] {
+			if len(path) > 0 {
+				// Strictly earlier starts guarantee progress past
+				// zero-length spans.
+				if bound := path[len(path)-1].Start; c.End().After(bound) || !c.Start.Before(bound) {
+					continue
+				}
+			}
+			if next == nil || c.End().After(next.End()) ||
+				(c.End().Equal(next.End()) && c.ID < next.ID) {
+				next = c
+			}
+		}
+		if next == nil {
+			break
+		}
+		path = append(path, next)
+	}
+	slices.Reverse(path)
+	var childMS float64
+	for _, c := range path {
+		childMS += c.DurMS
+	}
+	fmt.Fprintf(w, "  %s%s %.3f ms (self %.3f ms, child %.3f ms", strings.Repeat("· ", depth),
+		rec.Name, rec.DurMS, max(rec.DurMS-childMS, 0), childMS)
+	if s := rec.SimSeconds(); s > 0 {
+		fmt.Fprintf(w, ", sim %.3f s", s)
+	}
+	fmt.Fprintln(w, ")")
+	for _, c := range path {
+		writeCriticalPath(w, c, children, depth+1)
+	}
 }
 
 func sortRecs(recs []*TraceSpanRec) {
