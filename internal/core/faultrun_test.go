@@ -11,14 +11,17 @@ import (
 	"repro/internal/testbed"
 )
 
-// chaosCounters drives the whole Fig. 1 loop — collect, clean, train,
+// chaosSnapshot drives the whole Fig. 1 loop — collect, clean, train,
 // evaluate, hybrid evaluate — under the combined "chaos" profile and
-// returns the fault plan's counter snapshot. Counters (not histograms)
-// are the determinism contract: they depend only on the seeded schedules
-// and operation counts, never on wall-clock timing.
-func chaosCounters(t *testing.T, seed int64) map[string]float64 {
+// returns the metrics snapshot of the module and its fault plan, the
+// series `autolearn pipeline -faults -metrics` exports. Counters (not
+// histograms) are the determinism contract: they depend only on the
+// seeded schedules and operation counts, never on wall-clock timing.
+func chaosSnapshot(t *testing.T, seed int64) obs.Snapshot {
 	t.Helper()
 	m := fastModule(t)
+	reg := obs.NewRegistry()
+	m.Instrument(obs.Observer{Metrics: reg})
 	s, err := m.Enroll("student", "mu")
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +34,6 @@ func chaosCounters(t *testing.T, seed int64) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
 	rt.Start(obs.Observer{Metrics: reg})
 	rt.Attach(m.Net)
 	plan := rt.Plan()
@@ -66,29 +68,37 @@ func chaosCounters(t *testing.T, seed int64) map[string]float64 {
 	if hv.Report.Records == 0 {
 		t.Error("hybrid evaluation produced no records under chaos")
 	}
-	return reg.Snapshot().Counters
+	return reg.Snapshot()
 }
 
 // The acceptance test for the fault layer: the full pipeline completes
-// under every fault class at once, every new series is nonzero, and two
-// same-seed runs land on byte-identical counter snapshots.
+// under every fault class at once, every new series is nonzero, every
+// label stays a small closed set, and two same-seed runs land on
+// byte-identical counter snapshots.
 func TestChaosPipelineCompletesAndIsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models twice under chaos")
 	}
-	a := chaosCounters(t, 42)
+	snap := chaosSnapshot(t, 42)
+	a := snap.Counters
 	for _, key := range []string{
 		"faults_injected_total",
 		"retry_attempts_total",
 		"hybrid_fallbacks_total",
 		`faults_injected_total{kind="heartbeat_gap"}`,
 		`faults_injected_total{kind="preemption"}`,
+		`faults_injected_total{kind="link_partition"}`,
 	} {
 		if a[key] <= 0 {
 			t.Errorf("%s = %g, want > 0", key, a[key])
 		}
 	}
-	b := chaosCounters(t, 42)
+	for series, n := range snap.LabelCardinality() {
+		if n >= obs.MaxLabelCardinality {
+			t.Errorf("label %s has %d distinct values (limit %d)", series, n, obs.MaxLabelCardinality)
+		}
+	}
+	b := chaosSnapshot(t, 42).Counters
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same-seed chaos runs diverged:\n run 1: %v\n run 2: %v", a, b)
 	}

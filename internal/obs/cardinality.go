@@ -3,17 +3,18 @@ package obs
 import "strings"
 
 // MaxLabelCardinality is the budget the repo's cardinality lint enforces
-// (scripts/verify.sh and the fleet-scale tests): every label key on every
-// series must stay under this many distinct values. Unbounded data —
-// device IDs, request IDs, raw durations — belongs in trace span attrs,
-// not metric labels.
+// (the chaos pipeline test in internal/core and the fleet-scale tests):
+// every label key on every series must stay under this many distinct
+// values. Unbounded data — device IDs, request IDs, raw durations —
+// belongs in trace span attrs, not metric labels.
 const MaxLabelCardinality = 32
 
 // LabelCardinality counts, for every metric-name/label-key pair present in
-// the snapshot, how many distinct label values exist — the in-process
-// mirror of the verify.sh awk lint, so fleet-scale tests can assert a 10k
-// device run still labels per-shard rather than per-device. Keys in the
-// returned map are "metric_name/label_key".
+// the snapshot, how many distinct label values exist — the cardinality
+// lint, so the chaos pipeline test can hold every series a faulted run
+// exports to the budget and fleet-scale tests can assert a 10k device run
+// still labels per-shard rather than per-device. Keys in the returned map
+// are "metric_name/label_key".
 func (s Snapshot) LabelCardinality() map[string]int {
 	seen := map[string]map[string]bool{}
 	collect := func(series string) {

@@ -49,11 +49,14 @@ func (rec *TraceSpanRec) SimSeconds() float64 {
 }
 
 // ReadTraceJSONL parses a JSONL trace stream into span records, rejecting
-// records from a schema version this package does not understand.
+// records from a schema version this package does not understand and any
+// span ID seen twice: the report keys its span tree by ID, so a repeated
+// one could make a span its own ancestor.
 func ReadTraceJSONL(r io.Reader) ([]TraceSpanRec, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	var recs []TraceSpanRec
+	firstLine := map[string]int{}
 	line := 0
 	for sc.Scan() {
 		line++
@@ -74,6 +77,10 @@ func ReadTraceJSONL(r io.Reader) ([]TraceSpanRec, error) {
 			return nil, fmt.Errorf("trace line %d: bad start %q: %v", line, rec.RawStart, err)
 		}
 		rec.Start = t
+		if first, dup := firstLine[rec.ID]; dup {
+			return nil, fmt.Errorf("trace line %d: span id %q already used on line %d", line, rec.ID, first)
+		}
+		firstLine[rec.ID] = line
 		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {

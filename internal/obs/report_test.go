@@ -2,10 +2,46 @@ package obs
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
 )
+
+// dupIDTrace is a root span x followed by a second span x parented to x:
+// keyed by ID, the second one is its own parent.
+const dupIDTrace = `{"v":1,"trace":"t","id":"x","name":"a","start":"2023-11-14T22:13:20Z","dur_ms":1}
+{"v":1,"trace":"t","id":"x","parent":"x","name":"b","start":"2023-11-14T22:13:20Z","dur_ms":1}
+`
+
+func TestReadTraceJSONLRejectsDuplicateIDs(t *testing.T) {
+	_, err := ReadTraceJSONL(strings.NewReader(dupIDTrace))
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("got %v, want an error naming line 2", err)
+	}
+}
+
+// FuzzReadTraceJSONL: whatever the reader accepts, the report renders
+// without crashing, on a stack small enough that runaway recursion
+// fails fast.
+func FuzzReadTraceJSONL(f *testing.F) {
+	golden, err := os.ReadFile("testdata/trace_schema_v1.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(dupIDTrace))
+	defer debug.SetMaxStack(debug.SetMaxStack(8 << 20))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadTraceJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		_ = WriteTraceReport(io.Discard, recs) // orphans are an error, not a crash
+	})
+}
 
 // fixtureSpan is a span of a hand-built trace, timed in ms from t0.
 type fixtureSpan struct {

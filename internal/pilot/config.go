@@ -106,7 +106,43 @@ func (c Config) Validate() error {
 	if c.MaxThrottle <= c.MinThrottle {
 		return fmt.Errorf("pilot: MaxThrottle must exceed MinThrottle")
 	}
+	if w := c.weights(); w > maxWeights {
+		return fmt.Errorf("pilot: %s config has %.3g weights, over the %d budget", c.Kind, w, maxWeights)
+	}
 	return nil
+}
+
+// maxWeights bounds the parameter count Validate accepts: Load builds the
+// model a checkpoint's config names before reading any weight. 1<<25
+// (256 MiB of float64) fits E14's 21.6M-weight trunk, the repo's largest.
+const maxWeights = 1 << 25
+
+// weights counts the scalars of the architecture c describes from the
+// config alone, in float64 so that no forged size can overflow it.
+func (c Config) weights() float64 {
+	ch, f1, f2, d := float64(c.Channels), float64(c.ConvFilters1), float64(c.ConvFilters2), float64(c.DenseUnits)
+	dense := func(in, out float64) float64 { return in*out + out }
+	h1, w1 := convOut(c.Height, 5, 2), convOut(c.Width, 5, 2)
+	if c.Kind == Conv3D {
+		flat := f1 * float64(c.SeqLen-1) * float64(h1) * float64(w1)
+		return ch*f1*2*25 + f1 + dense(flat, d) + dense(d, 2)
+	}
+	h2, w2 := convOut(h1, 3, 2), convOut(w1, 3, 2)
+	enc := ch*f1*25 + f1 + f1*f2*9 + f2 + dense(f2*float64(h2)*float64(w2), d)
+	if c.BatchNorm {
+		enc += 4 * (f1 + f2) // gamma, beta and the two running statistics
+	}
+	switch c.Kind {
+	case Inferred:
+		return enc + dense(d, 1)
+	case Categorical:
+		return enc + dense(d, float64(c.AngleBins)+float64(c.ThrottleBins))
+	case Memory:
+		return enc + dense(d+2*float64(c.MemoryLen), d) + dense(d, 2)
+	case RNN:
+		return enc + 4*d*(2*d+1) + dense(d, 2)
+	}
+	return enc + dense(d, 2)
 }
 
 // marshal encodes the config for checkpoint metadata.

@@ -3,6 +3,8 @@ package pilot
 import (
 	"bytes"
 	"math"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -264,6 +266,106 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
 		t.Error("garbage accepted")
 	}
+}
+
+// forgedCheckpoint saves a small real pilot's weights under the config
+// JSON cfg, as an untrusted object in the store could.
+func forgedCheckpoint(t testing.TB, cfg string) []byte {
+	t.Helper()
+	p, err := New(testCfg(Linear))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := nn.SaveParams(&buf, p.Model().Params(), map[string]string{"config": cfg}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadRejectsOversizedConfig: a checkpoint's config sizes the model
+// Load allocates, so one naming a huge architecture must be refused
+// before anything is built rather than panic in makeslice.
+func TestLoadRejectsOversizedConfig(t *testing.T) {
+	const rest = `"channels":1,"angle_bins":15,"throttle_bins":20,"seq_len":3,"memory_len":3,` +
+		`"conv_filters_1":8,"conv_filters_2":16,"dense_units":64,"max_throttle":0.55,"min_throttle":0.22`
+	for _, cfg := range []string{
+		`{"kind":"linear","width":1048576,"height":1048576,` + rest + `}`,
+		`{"kind":"inferred","width":24,"height":16,` + rest + `,"dense_units":70368744177664}`,
+		`{"kind":"categorical","width":24,"height":16,` + rest + `,"angle_bins":70368744177664}`,
+		`{"kind":"memory","width":24,"height":16,` + rest + `,"memory_len":70368744177664}`,
+		`{"kind":"3d","width":24,"height":16,` + rest + `,"seq_len":70368744177664}`,
+		`{"kind":"rnn","width":24,"height":16,` + rest + `,"dense_units":9223372036854775807}`,
+	} {
+		if _, err := Load(bytes.NewReader(forgedCheckpoint(t, cfg))); err == nil ||
+			!strings.Contains(err.Error(), "budget") {
+			t.Errorf("config %s: got %v, want an over-budget error", cfg, err)
+		}
+	}
+}
+
+// TestWeightBudgetAdmitsRepoModels: the budget is computed from the
+// config alone, so it must count exactly what New builds, and every
+// model the repo trains must fit under it.
+func TestWeightBudgetAdmitsRepoModels(t *testing.T) {
+	for _, kind := range AllKinds() {
+		for _, geo := range [][3]int{{24, 16, 1}, {32, 24, 1}, {64, 48, 1}, {160, 120, 3}} {
+			for _, bn := range []bool{false, true} {
+				cfg := DefaultConfig(kind, geo[0], geo[1], geo[2])
+				cfg.BatchNorm = bn
+				p, err := New(cfg)
+				if err != nil {
+					t.Fatalf("%s %v batchnorm=%v: %v", kind, geo, bn, err)
+				}
+				if got, want := cfg.weights(), float64(p.ParamCount()); got != want {
+					t.Errorf("%s %v batchnorm=%v: weights() = %g, model has %g", kind, geo, bn, got, want)
+				}
+			}
+		}
+	}
+	// E14's dense trunk, the largest model the benchmarks build.
+	e14 := DefaultConfig(Linear, 128, 96, 1)
+	e14.ConvFilters1, e14.ConvFilters2, e14.DenseUnits = 8, 16, 2048
+	if err := e14.Validate(); err != nil {
+		t.Errorf("E14 trunk: %v", err)
+	}
+}
+
+// FuzzLoad holds Load to its contract on arbitrary bytes: an error or a
+// pilot that saves and loads back to the same config, never a panic.
+func FuzzLoad(f *testing.F) {
+	p, err := New(testCfg(Memory))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	golden, err := os.ReadFile("../nn/testdata/checkpoint_v1.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(forgedCheckpoint(f, `{"kind":"linear","width":1048576,"height":1048576,"channels":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := p.Save(&out); err != nil {
+			t.Fatalf("save loaded pilot: %v", err)
+		}
+		again, err := Load(&out)
+		if err != nil {
+			t.Fatalf("reload saved pilot: %v", err)
+		}
+		if again.Cfg != p.Cfg {
+			t.Fatalf("config %+v reloaded as %+v", p.Cfg, again.Cfg)
+		}
+	})
 }
 
 func TestTubRoundTripToSamples(t *testing.T) {

@@ -1,17 +1,10 @@
 #!/bin/sh
 # Reproducible benchmark runner: runs the paper-experiment benchmarks
 # (F1-F3, E1-E7, E10-E15) plus the GEMM kernel micro-benchmarks under
-# pinned GOMAXPROCS, and emits a machine-readable BENCH_pr10.json recording
-# ns/op, bytes/op, allocs/op and — for the serving rows — req/s, and for
-# the federated rows — simulated round wall-clock (round_ms), WAN bytes
-# (bytes_on_wire), and final validation loss (final_valloss) — for
-# the scenario-replay rows the count of scripted phase transitions that
-# actually fired (transitions) — and for the quantized-inference rows the
-# max control drift against float64 (quant_maxdelta) — and for the
-# dissemination-topology rows the convergence round count
-# (rounds_to_converge) and whether the run kept improving through the
-# cloud partition (partition_survived) — one datapoint per benchmark of
-# the repo's performance trajectory.
+# pinned GOMAXPROCS, and writes BENCH_pr10.json with `benchgate record`:
+# one datapoint per benchmark of the repo's performance trajectory, with
+# ns/op, bytes/op, allocs/op and each row's own metrics (the list is
+# recordedUnits in cmd/benchgate).
 #
 # Usage: ./scripts/bench.sh
 #   BENCH_OUT=path        output file (default BENCH_pr10.json)
@@ -79,51 +72,8 @@ GOMAXPROCS=8 go test -run '^$' -bench '^BenchmarkRegistryContention$' \
     -benchmem ./internal/obs/ | tee -a "$raw"
 
 # POSIX sh has no pipefail, so a crashing benchmark binary exits 0
-# through the tee pipelines above; refuse to emit JSON from a transcript
-# that records a failure.
-if grep -q '^FAIL' "$raw"; then
-    echo "bench: a benchmark run failed; not writing $OUT" >&2
-    exit 1
-fi
-
-awk -v gomaxprocs="$GOMAXPROCS" '
-/^Benchmark/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)   # strip the GOMAXPROCS suffix
-    ns = ""; bytes = ""; allocs = ""; reqs = ""
-    roundms = ""; wire = ""; valloss = ""; transitions = ""; qdelta = ""
-    converge = ""; survived = ""
-    for (i = 2; i < NF; i++) {
-        if ($(i+1) == "ns/op") ns = $i
-        if ($(i+1) == "B/op") bytes = $i
-        if ($(i+1) == "allocs/op") allocs = $i
-        if ($(i+1) == "req/s") reqs = $i
-        if ($(i+1) == "round_ms") roundms = $i
-        if ($(i+1) == "bytes_on_wire") wire = $i
-        if ($(i+1) == "final_valloss") valloss = $i
-        if ($(i+1) == "transitions") transitions = $i
-        if ($(i+1) == "quant_maxdelta") qdelta = $i
-        if ($(i+1) == "rounds_to_converge") converge = $i
-        if ($(i+1) == "partition_survived") survived = $i
-    }
-    if (ns == "") next
-    if (n++) printf ",\n"
-    printf "    \"%s\": {\"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
-        name, $2, ns, (bytes == "" ? 0 : bytes), (allocs == "" ? 0 : allocs)
-    if (reqs != "") printf ", \"req_per_s\": %s", reqs
-    if (roundms != "") printf ", \"round_ms\": %s", roundms
-    if (wire != "") printf ", \"bytes_on_wire\": %s", wire
-    if (valloss != "") printf ", \"final_valloss\": %s", valloss
-    if (transitions != "") printf ", \"transitions\": %s", transitions
-    if (qdelta != "") printf ", \"quant_maxdelta\": %s", qdelta
-    if (converge != "") printf ", \"rounds_to_converge\": %s", converge
-    if (survived != "") printf ", \"partition_survived\": %s", survived
-    printf "}"
-}
-BEGIN {
-    printf "{\n  \"pr\": 10,\n  \"gomaxprocs\": %s,\n  \"benchmarks\": {\n", gomaxprocs
-}
-END { printf "\n  }\n}\n" }
-' "$raw" > "$OUT"
+# through the tee pipelines above; benchgate refuses to write JSON from a
+# transcript that records a failure.
+go run ./cmd/benchgate record -gomaxprocs "$GOMAXPROCS" -o "$OUT" "$raw"
 
 echo "==> wrote $OUT"
