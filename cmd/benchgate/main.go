@@ -2,7 +2,8 @@
 // the guard table below and the BENCH_prN.json baselines in the
 // working directory, printing a PASS or FAIL line per guard and exiting 1
 // if any failed. record writes one as a BENCH_pr10.json baseline, and
-// refuses a transcript that records a failed run.
+// refuses a transcript that records a failed run or names a benchmark
+// twice.
 //
 //	benchgate check TRANSCRIPT
 //	benchgate record -gomaxprocs N -o OUT TRANSCRIPT
@@ -58,7 +59,11 @@ func run(args []string) error {
 	if failed {
 		return fmt.Errorf("a benchmark run failed; not writing %s", *out)
 	}
-	return os.WriteFile(*out, record(rows, *procs), 0o644)
+	baseline, err := record(rows, *procs)
+	if err != nil {
+		return fmt.Errorf("%w; not writing %s", err, *out)
+	}
+	return os.WriteFile(*out, baseline, 0o644)
 }
 
 // result is one benchmark line of a transcript: the benchmark's name
@@ -108,10 +113,16 @@ var recordedUnits = []string{"req/s", "round_ms", "bytes_on_wire", "final_vallos
 	"transitions", "quant_maxdelta", "rounds_to_converge", "partition_survived"}
 
 // record renders rows as a BENCH_pr10.json baseline, one benchmark per
-// line, every value as the transcript printed it.
-func record(rows []result, gomaxprocs string) []byte {
+// line, every value as the transcript printed it. A benchmark named
+// twice (a -count N run) is an error: JSON keeps one value per key.
+func record(rows []result, gomaxprocs string) ([]byte, error) {
 	entries := make([]string, len(rows))
+	seen := map[string]bool{}
 	for i, r := range rows {
+		if seen[r.name] {
+			return nil, fmt.Errorf("%s appears more than once in the transcript", r.name)
+		}
+		seen[r.name] = true
 		e := fmt.Sprintf(`    "%s": {"iterations": %s, "ns_per_op": %s, "bytes_per_op": %s, "allocs_per_op": %s`,
 			r.name, r.fields[0], r.value("ns/op"), cmp.Or(r.value("B/op"), "0"), cmp.Or(r.value("allocs/op"), "0"))
 		for _, u := range recordedUnits {
@@ -122,7 +133,7 @@ func record(rows []result, gomaxprocs string) []byte {
 		entries[i] = e + "}"
 	}
 	return []byte(fmt.Sprintf("{\n  \"pr\": 10,\n  \"gomaxprocs\": %s,\n  \"benchmarks\": {\n%s\n  }\n}\n",
-		gomaxprocs, strings.Join(entries, ",\n")))
+		gomaxprocs, strings.Join(entries, ",\n"))), nil
 }
 
 // A guard holds one metric of one benchmark row to op ("==", "<", "<="

@@ -38,7 +38,10 @@ func readTranscript(t *testing.T) []result {
 // TestRecordMatchesShellWriter: on a real scripts/bench.sh transcript,
 // record writes the bytes the shell JSON writer it replaced wrote.
 func TestRecordMatchesShellWriter(t *testing.T) {
-	got := record(readTranscript(t), "1")
+	got, err := record(readTranscript(t), "1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, err := os.ReadFile("testdata/bench_record.golden")
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +84,26 @@ func TestRecordRefusesFailedRun(t *testing.T) {
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("record wrote %s from a failed run (stat: %v)", out, err)
+	}
+}
+
+// TestRecordRefusesRepeatedBenchmark: a -count 2 transcript names each
+// benchmark twice, which JSON keys cannot hold; record names the first
+// repeated benchmark and writes nothing.
+func TestRecordRefusesRepeatedBenchmark(t *testing.T) {
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "raw.txt"), filepath.Join(dir, "out.json")
+	transcript := "BenchmarkX-2 \t 3\t 10 ns/op\nBenchmarkY-2 \t 3\t 20 ns/op\n" +
+		"BenchmarkX-2 \t 3\t 11 ns/op\nBenchmarkY-2 \t 3\t 21 ns/op\nok\trepro\t0.1s\n"
+	if err := os.WriteFile(in, []byte(transcript), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"record", "-gomaxprocs", "2", "-o", out, in})
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkX appears more than once") {
+		t.Fatalf("record on a -count 2 transcript: got %v, want an error naming BenchmarkX", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("record wrote %s from a -count 2 transcript (stat: %v)", out, err)
 	}
 }
 

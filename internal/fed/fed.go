@@ -167,6 +167,7 @@ type Run struct {
 	*Fleet
 
 	val      []pilot.Sample
+	valData  pilot.DatasetCache
 	codec    Codec
 	playback *heartbeatPlayback
 }

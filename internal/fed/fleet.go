@@ -87,10 +87,11 @@ type Worker struct {
 	Local *pilot.Pilot // trainable copy
 	Base  *pilot.Pilot // the weights Local's delta is taken against
 
-	deviceID string
-	shard    []pilot.Sample
-	speed    float64     // compute speed factor; higher is faster
-	residual [][]float64 // error feedback for sparsified uploads
+	deviceID  string
+	shard     []pilot.Sample
+	shardData pilot.DatasetCache // shard encoded for Local's config
+	speed     float64            // compute speed factor; higher is faster
+	residual  [][]float64        // error feedback for sparsified uploads
 	// evicted marks a heartbeat eviction during the current star round. A
 	// worker whose daemon went silent misses the round even if it
 	// re-onboards before the uploads are collected — its connection was
@@ -256,8 +257,13 @@ func (f *Fleet) TrainLocal(span *obs.Span, round int, trainers []*Worker, step f
 
 // Train runs w's local epochs on its shard, shuffled by a stream seeded
 // per (round, worker) — the SGD step both topologies hand TrainLocal.
+// The shard is encoded once per run, not once per round.
 func (f *Fleet) Train(w *Worker, round int) error {
-	_, err := w.Local.Train(w.shard, nn.TrainConfig{
+	data, err := w.shardData.Get(w.Local.Cfg, w.shard)
+	if err != nil {
+		return err
+	}
+	_, err = w.Local.TrainData(data, nn.TrainConfig{
 		Epochs:    f.LocalEpochs,
 		BatchSize: f.BatchSize,
 		Seed:      f.Seed + int64(round)*1000 + int64(w.Idx)*7 + 13,

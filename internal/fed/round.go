@@ -10,6 +10,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/pilot"
 )
 
 // RoundResult reports one completed FedAvg round.
@@ -365,7 +366,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 	}
 	if len(r.val) > 0 {
 		vsp := span.Child("fed_validate")
-		vl, err := r.Global.Validate(r.val, r.Cfg.BatchSize)
+		vl, err := r.validate(r.Global)
 		if err != nil {
 			vsp.EndErr(err)
 			span.EndErr(err)
@@ -410,6 +411,15 @@ func (r *Run) drop(st *wstate, rr *RoundResult, reason string) {
 	rr.Dropped = append(rr.Dropped, st.w.Idx)
 	r.Obs.Metrics.Counter("fed_workers_dropped_total").Inc()
 	r.Obs.Metrics.Counter("fed_workers_dropped_total", obs.L("reason", reason)).Inc()
+}
+
+// validate scores p on the held-out set, encoded once per run.
+func (r *Run) validate(p *pilot.Pilot) (float64, error) {
+	data, err := r.valData.Get(p.Cfg, r.val)
+	if err != nil {
+		return 0, err
+	}
+	return p.ValidateData(data, r.Cfg.BatchSize)
 }
 
 // workerShard maps a worker index to its bounded metrics-label bucket.

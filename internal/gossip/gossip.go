@@ -172,6 +172,7 @@ type Run struct {
 	workers []*worker
 	head    *headState
 	val     []pilot.Sample
+	valData pilot.DatasetCache
 	mesh    *netem.Mesh
 	// initVals is the shared genesis weights every store rebuild starts
 	// from (the image flashed at provisioning).

@@ -353,7 +353,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 			span.EndErr(err)
 			return rr, err
 		}
-		fl, err := r.union.Validate(r.val, r.Cfg.BatchSize)
+		fl, err := r.validate(r.union)
 		if err != nil {
 			vsp.EndErr(err)
 			span.EndErr(err)
@@ -361,7 +361,7 @@ func (r *Run) round(idx int, parent *obs.Span) (RoundResult, error) {
 		}
 		rr.FleetValLoss = fl
 		reg.Gauge("gossip_fleet_val_loss").Set(fl)
-		hl, err := r.head.model.Validate(r.val, r.Cfg.BatchSize)
+		hl, err := r.validate(r.head.model)
 		if err != nil {
 			vsp.EndErr(err)
 			span.EndErr(err)
@@ -552,6 +552,15 @@ func (r *Run) rebuild(p *pilot.Pilot, s *Store) error {
 		}
 	}
 	return nil
+}
+
+// validate scores p on the held-out set, encoded once per run.
+func (r *Run) validate(p *pilot.Pilot) (float64, error) {
+	data, err := r.valData.Get(p.Cfg, r.val)
+	if err != nil {
+		return 0, err
+	}
+	return p.ValidateData(data, r.Cfg.BatchSize)
 }
 
 // copyWeights installs src's weights into dst (same architecture).

@@ -18,7 +18,8 @@ import (
 //     matrix, which the GEMMs write and read in place: nothing is
 //     transposed into a [position, F] layout.
 //   - cols is [N·P, T], one im2col row per output position, image by
-//     image. Forward builds it and backward reuses it for dW.
+//     image, in a buffer the layer owns. Forward builds it and backward
+//     reuses it for dW.
 //   - The kernel, and dW, are read as the [F, T] matrix W.
 //   - dcols is [P, T] for one image at a time, per worker; col2im
 //     scatters it into that image's dx while it is still cache-hot.
@@ -28,9 +29,14 @@ type Conv2D struct {
 
 	w, b  *Param
 	lastX *Tensor
-	cols  *Tensor // cached im2col matrix for backward
-	outH  int
-	outW  int
+	// y and dx are training buffers (see Layer). cols is the im2col
+	// matrix of colsX, the input of the last forward that built one
+	// (the naive kernel does not), kept per layer for backward and as
+	// reusable scratch for inference.
+	y, dx, cols *Tensor
+	colsX       *Tensor
+	outH        int
+	outW        int
 }
 
 // NewConv2D builds a square-kernel convolution with He initialization.
@@ -56,14 +62,14 @@ func (c *Conv2D) outDims(h, w int) (int, int, error) {
 
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *Tensor, train bool) (*Tensor, error) {
-	return c.forward(x, nil)
+	return c.forward(x, nil, train)
 }
 
 // forward lowers the convolution, one image at a time across workers:
 // im2col, then y_i = W × cols_iᵀ straight into the image's [F, P] output
 // slice, then the bias and the optional fused activation epilogue while
 // the slice is cache-hot.
-func (c *Conv2D) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
+func (c *Conv2D) forward(x *Tensor, act fusedActivation, train bool) (*Tensor, error) {
 	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
 		return nil, fmt.Errorf("nn: conv2d expects [N,%d,H,W], got %v", c.InC, x.Shape)
 	}
@@ -72,7 +78,7 @@ func (c *Conv2D) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.lastX, c.outH, c.outW = x, oh, ow
+	c.lastX, c.outH, c.outW, c.colsX = x, oh, ow, nil
 	if c.Naive {
 		y, err := c.forwardNaive(x, n, h, w, oh, ow)
 		if err == nil && act != nil {
@@ -81,9 +87,9 @@ func (c *Conv2D) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
 		return y, err
 	}
 	pos, patch := oh*ow, c.InC*c.K*c.K
-	releaseScratch(c.cols) // drop a cached matrix from a backward-less pass
-	c.cols = getScratch(n*pos, patch)
-	y := NewTensor(n, c.OutC, oh, ow)
+	cols := layerBuf(&c.cols, true, n*pos, patch)
+	c.colsX = x
+	y := layerBuf(&c.y, train, n, c.OutC, oh, ow)
 	var epi func(lo, hi int)
 	if act != nil {
 		epi = act.fuseInto(y)
@@ -91,10 +97,10 @@ func (c *Conv2D) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
 	ySize := c.OutC * pos
 	parallelFor(n, n*pos*patch*c.OutC, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
-			cols := c.cols.Data[i*pos*patch : (i+1)*pos*patch]
-			c.im2colImage(x.Data, cols, i, h, w, oh, ow)
+			ci := cols.Data[i*pos*patch : (i+1)*pos*patch]
+			c.im2colImage(x.Data, ci, i, h, w, oh, ow)
 			yi := y.Data[i*ySize : (i+1)*ySize]
-			gemmTransBT(cols, c.w.W.Data, yi, pos, patch, c.OutC)
+			gemmTransBT(ci, c.w.W.Data, yi, pos, patch, c.OutC)
 			for f, bf := range c.b.W.Data {
 				yf := yi[f*pos : (f+1)*pos]
 				for p := range yf {
@@ -204,49 +210,76 @@ func (c *Conv2D) backward(grad *Tensor, needDX bool) (*Tensor, error) {
 	oh, ow := c.outH, c.outW
 	pos, patch := oh*ow, c.InC*c.K*c.K
 
-	// Bias gradient.
-	for i := 0; i < n; i++ {
-		for f := 0; f < c.OutC; f++ {
-			base := ((i*c.OutC + f) * oh) * ow
-			var s float64
-			for p := 0; p < oh*ow; p++ {
-				s += grad.Data[base+p]
-			}
-			c.b.Grad.Data[f] += s
-		}
-	}
+	convBiasGrad(grad.Data, c.b.Grad.Data, n, pos)
 
-	if c.cols == nil {
-		// Naive path: rebuild the im2col matrix for gradient computation.
-		cols := getScratch(n*pos, patch)
+	cols := c.cols
+	if c.colsX != c.lastX {
+		// The naive path: build the im2col matrix of lastX.
+		cols = getScratch(n*pos, patch)
+		defer releaseScratch(cols)
 		c.im2col(c.lastX, cols, n, h, w, oh, ow)
-		c.cols = cols
 	}
 
 	dw := getScratch(c.OutC, patch)
-	convWeightGrad(grad.Data, c.cols.Data, dw.Data, n, c.OutC, pos, patch)
+	convWeightGrad(grad.Data, cols.Data, dw.Data, n, c.OutC, pos, patch)
 	if err := c.w.Grad.AddScaled(dw, 1); err != nil {
 		return nil, err
 	}
 	releaseScratch(dw)
-	releaseScratch(c.cols)
-	c.cols = nil
 	if !needDX {
 		return nil, nil
 	}
 
 	// Per image: dcols = grad_iᵀ × W, then col2im into dx_i.
-	dx := NewTensor(n, c.InC, h, w)
+	dx := layerBuf(&c.dx, true, n, c.InC, h, w)
 	gSize, xSize := c.OutC*pos, c.InC*h*w
 	parallelFor(n, n*pos*patch*c.OutC, func(i0, i1 int) {
 		dcols := getScratch(pos, patch)
 		for i := i0; i < i1; i++ {
 			gemmTransARows(grad.Data[i*gSize:(i+1)*gSize], c.w.W.Data, dcols.Data, c.OutC, pos, patch, 0, pos)
-			c.col2imImage(dcols.Data, dx.Data[i*xSize:(i+1)*xSize], h, w, oh, ow)
+			dxi := dx.Data[i*xSize : (i+1)*xSize]
+			clear(dxi) // col2im scatter-adds
+			c.col2imImage(dcols.Data, dxi, h, w, oh, ow)
 		}
 		releaseScratch(dcols)
 	})
 	return dx, nil
+}
+
+// convBiasGrad adds to db [F] each channel's gradient sum over the P
+// positions of every image of grad [N, F, P]. Channels go four at a
+// time, for four independent add chains; each channel's sum still adds
+// its positions in order, starting from zero per image.
+func convBiasGrad(grad, db []float64, n, pos int) {
+	nf := len(db)
+	for i := 0; i < n; i++ {
+		gi := grad[i*nf*pos : (i+1)*nf*pos]
+		f := 0
+		for ; f+4 <= nf; f += 4 {
+			g0 := gi[f*pos : (f+1)*pos]
+			g1 := gi[(f+1)*pos:][:len(g0)]
+			g2 := gi[(f+2)*pos:][:len(g0)]
+			g3 := gi[(f+3)*pos:][:len(g0)]
+			var s0, s1, s2, s3 float64
+			for p, v := range g0 {
+				s0 += v
+				s1 += g1[p]
+				s2 += g2[p]
+				s3 += g3[p]
+			}
+			db[f] += s0
+			db[f+1] += s1
+			db[f+2] += s2
+			db[f+3] += s3
+		}
+		for ; f < nf; f++ {
+			var s float64
+			for _, v := range gi[f*pos : (f+1)*pos] {
+				s += v
+			}
+			db[f] += s
+		}
+	}
 }
 
 // convWeightGrad computes dW [F, T] = Σ_q grad(q) ⊗ cols[q] over the

@@ -116,3 +116,61 @@ func gemmTransBTile(a, b, c []float64, k, ldc int, trans bool, i0, i1, j0, j1 in
 	gemmTransBTileGo(a, b, c, k, ldc, trans, i4, i1, j0, j8)
 	gemmTransBTileGo(a, b, c, k, ldc, trans, i0, i1, j8, j1)
 }
+
+// adamAVX2 runs adamUpdateGo's update on elements [0, n) of the four
+// arrays, four at a time; n must be a multiple of 4.
+//
+//go:noescape
+func adamAVX2(w, grad, m, v *float64, n int, k *adamCoef)
+
+// adamUpdate is Adam's per-element update; see adamUpdateGo. The
+// assembly takes whole vectors and Go the remaining elements.
+func adamUpdate(w, g, m, v []float64, k adamCoef) {
+	n4 := 0
+	if useAVX2 {
+		n4 = len(w) &^ 3
+	}
+	if n4 > 0 {
+		_, _, _ = g[n4-1], m[n4-1], v[n4-1]
+		adamAVX2(&w[0], &g[0], &m[0], &v[0], n4, &k)
+	}
+	adamUpdateGo(w[n4:], g[n4:], m[n4:], v[n4:], k)
+}
+
+// reluAVX2 runs reluIntoGo on elements [0, n) of y and mask, four at a
+// time; n must be a multiple of 4.
+//
+//go:noescape
+func reluAVX2(y *float64, mask *bool, n int)
+
+// reluMaskAVX2 runs reluMaskGo on elements [0, n) of grad and mask, four
+// at a time; n must be a multiple of 4.
+//
+//go:noescape
+func reluMaskAVX2(grad *float64, mask *bool, n int)
+
+// reluInto is the ReLU forward; see reluIntoGo.
+func reluInto(y []float64, mask []bool) {
+	n4 := 0
+	if useAVX2 {
+		n4 = len(y) &^ 3
+	}
+	if n4 > 0 {
+		_ = mask[n4-1]
+		reluAVX2(&y[0], &mask[0], n4)
+	}
+	reluIntoGo(y[n4:], mask[n4:])
+}
+
+// reluMask is the ReLU backward; see reluMaskGo.
+func reluMask(g []float64, mask []bool) {
+	n4 := 0
+	if useAVX2 {
+		n4 = len(g) &^ 3
+	}
+	if n4 > 0 {
+		_ = mask[n4-1]
+		reluMaskAVX2(&g[0], &mask[0], n4)
+	}
+	reluMaskGo(g[n4:], mask[n4:])
+}

@@ -1,8 +1,9 @@
 #include "textflag.h"
 
-// AVX2 inner loops for gemm.go. Every element is computed with the same
-// IEEE operations, in the same order, as the Go loop it replaces:
-// separate VMULPD/VADDPD (or VMULSD/VADDSD in tails), never FMA.
+// AVX2 inner loops for gemm.go, Adam's update and ReLU. Every element is
+// computed with the same IEEE operations, in the same order, as the Go
+// loop it replaces: separate VMULPD/VADDPD (or VMULSD/VADDSD in tails),
+// never FMA.
 
 // DOT4X8 is the k-loop shared by the two 4×8 tiles below. Eight
 // accumulators, Y0-Y7, hold the 4×8 block of C, two YMM per row of A.
@@ -214,5 +215,140 @@ TEXT ·dot4x8TAVX2(SB), NOSPLIT, $0-48
 	DOT4X8
 	TRANSPOSE4(Y0, Y2, Y4, Y6)
 	TRANSPOSE4(Y1, Y3, Y5, Y7)
+	VZEROUPPER
+	RET
+
+// func adamAVX2(w, grad, m, v *float64, n int, k *adamCoef)
+//
+// Adam's update of elements [0, n), n a multiple of 4, with the
+// operations of adamUpdateGo in its grouping:
+//
+//	m[j] = c1*g[j] + b1*m[j]
+//	v[j] = b2*v[j] + g[j]*(c2*g[j])
+//	w[j] = w[j] - step*m[j]/(eps + sqrt(invBC2*v[j]))
+//
+// VSQRTPD and VDIVPD round exactly as SQRTSD and DIVSD. Each operand
+// sits where the Go compiler puts it in adamUpdateGo (go1.24, no -race),
+// so even the NaN payload that wins where two NaNs meet agrees there.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), R8
+	MOVQ v+24(FP), R9
+	MOVQ n+32(FP), CX
+	MOVQ k+40(FP), AX
+	VBROADCASTSD 0(AX), Y0  // b1
+	VBROADCASTSD 8(AX), Y1  // c1
+	VBROADCASTSD 16(AX), Y2 // b2
+	VBROADCASTSD 24(AX), Y3 // c2
+	VBROADCASTSD 32(AX), Y4 // step
+	VBROADCASTSD 40(AX), Y5 // invBC2
+	VBROADCASTSD 48(AX), Y6 // eps
+	XORQ BX, BX
+	TESTQ CX, CX
+	JZ   adamdone
+
+adamloop:
+	VMOVUPD (SI)(BX*8), Y7
+	VMULPD  (R8)(BX*8), Y0, Y8
+	VMULPD  Y7, Y1, Y9
+	VADDPD  Y8, Y9, Y9
+	VMOVUPD Y9, (R8)(BX*8)
+	VMOVUPD (R9)(BX*8), Y10
+	VMULPD  Y2, Y10, Y10
+	VMULPD  Y7, Y3, Y11
+	VMULPD  Y11, Y7, Y11
+	VADDPD  Y11, Y10, Y10
+	VMOVUPD Y10, (R9)(BX*8)
+	VMULPD  Y9, Y4, Y12
+	VMULPD  Y10, Y5, Y13
+	VSQRTPD Y13, Y13
+	VADDPD  Y13, Y6, Y13
+	VDIVPD  Y13, Y12, Y12
+	VMOVUPD (DI)(BX*8), Y14
+	VSUBPD  Y12, Y14, Y14
+	VMOVUPD Y14, (DI)(BX*8)
+	ADDQ $4, BX
+	CMPQ BX, CX
+	JLT  adamloop
+
+adamdone:
+	VZEROUPPER
+	RET
+
+// relumask<> maps the 4-bit VMOVMSKPD of a keep mask to the four bools
+// it stands for, one byte each.
+DATA relumask<>+0(SB)/4, $0x00000000
+DATA relumask<>+4(SB)/4, $0x00000001
+DATA relumask<>+8(SB)/4, $0x00000100
+DATA relumask<>+12(SB)/4, $0x00000101
+DATA relumask<>+16(SB)/4, $0x00010000
+DATA relumask<>+20(SB)/4, $0x00010001
+DATA relumask<>+24(SB)/4, $0x00010100
+DATA relumask<>+28(SB)/4, $0x00010101
+DATA relumask<>+32(SB)/4, $0x01000000
+DATA relumask<>+36(SB)/4, $0x01000001
+DATA relumask<>+40(SB)/4, $0x01000100
+DATA relumask<>+44(SB)/4, $0x01000101
+DATA relumask<>+48(SB)/4, $0x01010000
+DATA relumask<>+52(SB)/4, $0x01010001
+DATA relumask<>+56(SB)/4, $0x01010100
+DATA relumask<>+60(SB)/4, $0x01010101
+GLOBL relumask<>(SB), RODATA|NOPTR, $64
+
+// func reluAVX2(y *float64, mask *bool, n int)
+//
+// keep = !(y < 0) (compare predicate NLT_UQ: NaN is kept), y = y AND
+// keep, mask = keep: negative values become +0 and every other value
+// keeps its bits, as in reluIntoGo.
+TEXT ·reluAVX2(SB), NOSPLIT, $0-24
+	MOVQ y+0(FP), DI
+	MOVQ mask+8(FP), SI
+	MOVQ n+16(FP), CX
+	LEAQ relumask<>(SB), R8
+	VXORPD Y0, Y0, Y0
+	XORQ BX, BX
+	TESTQ CX, CX
+	JZ   reludone
+
+reluloop:
+	VMOVUPD (DI)(BX*8), Y1
+	VCMPPD  $0x15, Y0, Y1, Y2
+	VANDPD  Y2, Y1, Y1
+	VMOVUPD Y1, (DI)(BX*8)
+	VMOVMSKPD Y2, AX
+	MOVL    (R8)(AX*4), DX
+	MOVL    DX, (SI)(BX*1)
+	ADDQ $4, BX
+	CMPQ BX, CX
+	JLT  reluloop
+
+reludone:
+	VZEROUPPER
+	RET
+
+// func reluMaskAVX2(grad *float64, mask *bool, n int)
+//
+// grad = grad AND (0 - mask), widening each bool to a 64-bit 0 or all-ones:
+// masked elements become +0, the others keep their bits.
+TEXT ·reluMaskAVX2(SB), NOSPLIT, $0-24
+	MOVQ grad+0(FP), DI
+	MOVQ mask+8(FP), SI
+	MOVQ n+16(FP), CX
+	VPXOR Y0, Y0, Y0
+	XORQ BX, BX
+	TESTQ CX, CX
+	JZ   maskdone
+
+maskloop:
+	VPMOVZXBQ (SI)(BX*1), Y1
+	VPSUBQ  Y1, Y0, Y1
+	VANDPD  (DI)(BX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(BX*8)
+	ADDQ $4, BX
+	CMPQ BX, CX
+	JLT  maskloop
+
+maskdone:
 	VZEROUPPER
 	RET

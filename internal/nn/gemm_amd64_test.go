@@ -4,29 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
-
-// specialValue draws from the values where IEEE arithmetic is easiest
-// to get subtly wrong: signed zeros, subnormals, infinities and NaN,
-// mixed with ordinary unit-scale values.
-func specialValue(rng *rand.Rand) float64 {
-	switch rng.Intn(16) {
-	case 0:
-		return 0
-	case 1:
-		return math.Copysign(0, -1)
-	case 2:
-		return math.SmallestNonzeroFloat64 * float64(rng.Intn(1000)+1)
-	case 3:
-		return -math.SmallestNonzeroFloat64 * float64(rng.Intn(1<<20)+1)
-	case 4:
-		return math.Inf(1 - 2*rng.Intn(2))
-	case 5:
-		return math.NaN()
-	}
-	return rng.NormFloat64()
-}
 
 // fillOperand fills x, viewed as rows of length k: plain normals, or —
 // with special set — a mix of special values and whole zero blocks of
@@ -166,6 +146,141 @@ func BenchmarkGEMMPaths(b *testing.B) {
 						kern.run(a, bm, bias, c, m, k, n)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestAdamAVX2MatchesGo runs Adam's update with the AVX2 kernel and
+// with the Go loop on special-value parameters, gradients and moments,
+// over lengths that straddle the 4-wide vector, for several steps of
+// real coefficients, and requires bit-identical results in all four
+// arrays. A quarter of the values are NaNs with random payloads; which
+// payload survives where two NaNs meet depends on the compiler's operand
+// order, so a NaN only has to meet a NaN, as in TestGEMMAVX2MatchesGo.
+func TestAdamAVX2MatchesGo(t *testing.T) {
+	if !hasAVX2() {
+		t.Skip("CPU lacks AVX2: the Go loop is the only path")
+	}
+	defer func(prev bool) { useAVX2 = prev }(useAVX2)
+	useAVX2 = true
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{1, 3, 4, 5, 7, 8, 13, 64, 65} {
+		var got, want [4][]float64
+		for a := range got {
+			got[a] = make([]float64, n)
+			for i := range got[a] {
+				got[a][i] = specialValue(rng)
+				if rng.Intn(4) == 0 {
+					got[a][i] = math.Float64frombits(0x7ff8<<48 | uint64(rng.Intn(2))<<63 | uint64(rng.Int63n(1<<51)))
+				}
+			}
+			want[a] = slices.Clone(got[a])
+		}
+		for step := 1; step <= 3; step++ {
+			bc1, bc2 := 1-math.Pow(0.9, float64(step)), 1-math.Pow(0.999, float64(step))
+			k := adamCoef{b1: 0.9, c1: 1 - 0.9, b2: 0.999, c2: 1 - 0.999,
+				step: 1e-3 / bc1, invBC2: 1 / bc2, eps: 1e-8}
+			adamUpdate(got[0], got[1], got[2], got[3], k)
+			adamUpdateGo(want[0], want[1], want[2], want[3], k)
+			for a, name := range []string{"w", "g", "m", "v"} {
+				for i := range got[a] {
+					if !sameBits(got[a][i], want[a][i]) {
+						t.Fatalf("n=%d step %d: %s[%d]: AVX2 %v (%#x), Go %v (%#x)", n, step, name, i,
+							got[a][i], math.Float64bits(got[a][i]), want[a][i], math.Float64bits(want[a][i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFusedReLUAVX2MatchesGo runs a Dense layer with its ReLU fused into
+// the GEMM epilogue, forward and backward, on special-value inputs with
+// the AVX2 and the Go GEMM loops, and requires both to match the branchy
+// rectifier applied to the layer's unfused output bit for bit.
+func TestFusedReLUAVX2MatchesGo(t *testing.T) {
+	if !hasAVX2() {
+		t.Skip("CPU lacks AVX2: the Go kernels are the only path")
+	}
+	defer func(prev bool) { useAVX2 = prev }(useAVX2)
+	rng := rand.New(rand.NewSource(18))
+	d := NewDense(9, 13, rng)
+	fillOperand(rng, d.w.W.Data, 13, true)
+	fillOperand(rng, d.b.W.Data, 13, true)
+	x := NewTensor(6, 9)
+	fillOperand(rng, x.Data, 9, true)
+	grad := NewTensor(6, 13)
+	fillOperand(rng, grad.Data, 13, true)
+	for _, avx := range []bool{true, false} {
+		useAVX2 = avx
+		plain, err := d.Forward(x, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantY, wantG := reluBranchy(plain.Data, grad.Data)
+		relu := &ReLU{}
+		y, err := NewSequential(d, relu).Forward(x, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := relu.Backward(grad.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range wantY {
+			if math.Float64bits(y.Data[i]) != math.Float64bits(wantY[i]) ||
+				math.Float64bits(g.Data[i]) != math.Float64bits(wantG[i]) {
+				t.Fatalf("avx2=%v element %d: y %#x g %#x, want y %#x g %#x", avx, i,
+					math.Float64bits(y.Data[i]), math.Float64bits(g.Data[i]),
+					math.Float64bits(wantY[i]), math.Float64bits(wantG[i]))
+			}
+		}
+	}
+}
+
+// TestReLUAVX2MatchesGo runs the ReLU forward and backward kernels with
+// AVX2 and with the Go loops on special values, NaNs of every payload
+// included, over lengths that straddle the 4-wide vector, and requires
+// the same bits and the same mask.
+func TestReLUAVX2MatchesGo(t *testing.T) {
+	if !hasAVX2() {
+		t.Skip("CPU lacks AVX2: the Go loops are the only path")
+	}
+	defer func(prev bool) { useAVX2 = prev }(useAVX2)
+	useAVX2 = true
+	rng := rand.New(rand.NewSource(21))
+	for k, n := range []int{64, 1, 3, 4, 5, 7, 8, 13, 64, 65} {
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = specialValue(rng)
+			if rng.Intn(4) == 0 {
+				y[i] = math.Float64frombits(0x7ff<<52 | uint64(rng.Intn(2))<<63 | uint64(rng.Int63n(1<<52-1)+1))
+			}
+		}
+		if k == 0 {
+			// Every one of the 16 keep patterns of a 4-wide vector.
+			for i := range y {
+				y[i] = 1 - 2*float64(i/4>>(i%4)&1)
+			}
+		}
+		g := slices.Clone(y)
+		rng.Shuffle(n, func(i, j int) { g[i], g[j] = g[j], g[i] })
+		wantY, wantG := slices.Clone(y), slices.Clone(g)
+		mask, wantMask := make([]bool, n), make([]bool, n)
+		for i := range mask {
+			mask[i], wantMask[i] = i%2 == 0, i%3 == 0 // stale masks must be overwritten
+		}
+		reluInto(y, mask)
+		reluIntoGo(wantY, wantMask)
+		reluMask(g, mask)
+		reluMaskGo(wantG, wantMask)
+		for i := range y {
+			if math.Float64bits(y[i]) != math.Float64bits(wantY[i]) || mask[i] != wantMask[i] ||
+				math.Float64bits(g[i]) != math.Float64bits(wantG[i]) {
+				t.Fatalf("n=%d element %d: AVX2 y %#x mask %v g %#x, Go y %#x mask %v g %#x", n, i,
+					math.Float64bits(y[i]), mask[i], math.Float64bits(g[i]),
+					math.Float64bits(wantY[i]), wantMask[i], math.Float64bits(wantG[i]))
 			}
 		}
 	}

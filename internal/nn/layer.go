@@ -25,6 +25,14 @@ func newParam(name string, shape ...int) *Param {
 // with respect to the layer input, accumulating parameter gradients.
 // Layers are not safe for concurrent use; the trainer drives them from one
 // goroutine (kernels parallelize internally).
+//
+// Ownership: the output of a training Forward (train == true) and the
+// gradient a Backward returns may be buffers the layer owns and reuses,
+// so a steady-state training step allocates almost nothing. A training
+// output stays valid until the layer's next training Forward, a returned
+// gradient until its next Backward; a caller that needs either longer
+// copies it. An inference Forward (train == false) returns a tensor the
+// caller keeps.
 type Layer interface {
 	Forward(x *Tensor, train bool) (*Tensor, error)
 	Backward(grad *Tensor) (*Tensor, error)
@@ -33,9 +41,10 @@ type Layer interface {
 
 // Dense is a fully connected layer: y = xW + b for x [N, in].
 type Dense struct {
-	In, Out int
-	w, b    *Param
-	lastX   *Tensor
+	In, Out   int
+	w, b      *Param
+	lastX     *Tensor
+	y, dx, dw *Tensor // training buffers (see Layer)
 }
 
 // NewDense builds a dense layer with He-initialized weights.
@@ -48,18 +57,18 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 // Forward implements Layer: one fused GEMM computes y = xW + b, with the
 // bias folded into the kernel's row initialization.
 func (d *Dense) Forward(x *Tensor, train bool) (*Tensor, error) {
-	return d.forward(x, nil)
+	return d.forward(x, nil, train)
 }
 
 // forward runs the fused kernel, optionally applying an activation
 // epilogue to each output row range while it is cache-hot.
-func (d *Dense) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
+func (d *Dense) forward(x *Tensor, act fusedActivation, train bool) (*Tensor, error) {
 	if len(x.Shape) != 2 || x.Shape[1] != d.In {
 		return nil, fmt.Errorf("nn: dense expects [N,%d], got %v", d.In, x.Shape)
 	}
 	d.lastX = x
 	n := x.Shape[0]
-	y := NewTensor(n, d.Out)
+	y := layerBuf(&d.y, train, n, d.Out)
 	var epi func(lo, hi int)
 	if act != nil {
 		epi = act.fuseInto(y)
@@ -74,7 +83,10 @@ func (d *Dense) Backward(grad *Tensor) (*Tensor, error) {
 		return nil, err
 	}
 	// dx = grad Wᵀ
-	return MatMulTransB(grad, d.w.W)
+	n := grad.Shape[0]
+	dx := layerBuf(&d.dx, true, n, d.In)
+	gemmTransBInto(grad.Data, d.w.W.Data, dx.Data, n, d.Out, d.In)
+	return dx, nil
 }
 
 // backwardParamsOnly implements noInputGrad: dW += xᵀ grad and db += column
@@ -84,12 +96,11 @@ func (d *Dense) backwardParamsOnly(grad *Tensor) error {
 		return fmt.Errorf("nn: dense backward before forward")
 	}
 	n := grad.Shape[0]
-	dw := getScratch(d.In, d.Out)
+	dw := layerBuf(&d.dw, true, d.In, d.Out)
 	gemmTransAInto(d.lastX.Data, grad.Data, dw.Data, n, d.In, d.Out)
 	if err := d.w.Grad.AddScaled(dw, 1); err != nil {
 		return err
 	}
-	releaseScratch(dw)
 	for i := 0; i < n; i++ {
 		row := grad.Data[i*d.Out : (i+1)*d.Out]
 		for j := 0; j < d.Out; j++ {
@@ -115,7 +126,32 @@ type fusedActivation interface {
 // fusedActivation to their output without a separate pass.
 type epilogueFuser interface {
 	Layer
-	forward(x *Tensor, act fusedActivation) (*Tensor, error)
+	forward(x *Tensor, act fusedActivation, train bool) (*Tensor, error)
+}
+
+// layerBuf returns a tensor of the given shape for a layer's output, a
+// gradient or a matrix its backward reuses. With own set it reshapes the
+// layer's buffer *buf, reusing its backing array when that is large
+// enough, and its contents are stale: the caller overwrites every
+// element or zeroes what it scatters into. Otherwise it returns a fresh
+// zeroed tensor the caller keeps.
+func layerBuf(buf **Tensor, own bool, shape ...int) *Tensor {
+	if !own {
+		return NewTensor(shape...)
+	}
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	t := *buf
+	if t == nil || cap(t.Data) < n {
+		t = NewTensor(shape...)
+		*buf = t
+		return t
+	}
+	t.Shape = append(t.Shape[:0], shape...)
+	t.Data = t.Data[:n]
+	return t
 }
 
 // noInputGrad is implemented by layers (Dense, Conv2D) that can accumulate
@@ -143,30 +179,50 @@ func (r *ReLU) fuseInto(y *Tensor) func(lo, hi int) {
 		r.mask = make([]bool, len(y.Data))
 	}
 	r.mask = r.mask[:len(y.Data)]
-	return func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if y.Data[i] < 0 {
-				y.Data[i] = 0
-				r.mask[i] = false
-			} else {
-				r.mask[i] = true
-			}
-		}
+	return func(lo, hi int) { reluInto(y.Data[lo:hi], r.mask[lo:hi]) }
+}
+
+// reluIntoGo applies the rectifier to y in place and records in mask
+// which elements passed through. Negative values become +0; -0, NaN and
+// +Inf pass unchanged, as under `if v < 0 { v = 0 }`. The sign test
+// becomes a bit mask instead of a branch, which the data's signs would
+// make unpredictable.
+func reluIntoGo(y []float64, mask []bool) {
+	mask = mask[:len(y)]
+	for i, v := range y {
+		keep := !(v < 0)
+		mask[i] = keep
+		y[i] = math.Float64frombits(math.Float64bits(v) & -b2u(keep))
 	}
+}
+
+// reluMaskGo zeroes (+0) the elements of g whose mask entry is false and
+// leaves the others' bits unchanged, without a branch.
+func reluMaskGo(g []float64, mask []bool) {
+	mask = mask[:len(g)]
+	for i, keep := range mask {
+		g[i] = math.Float64frombits(math.Float64bits(g[i]) & -b2u(keep))
+	}
+}
+
+// b2u is 1 for true and 0 for false; the compiler lowers it to a
+// zero-extending move.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Backward implements Layer. The upstream gradient is masked in place:
 // every producer in this package hands each backward gradient to exactly
-// one consumer, so reusing the buffer saves a clone per batch.
+// one consumer, so reusing the buffer saves a clone per batch. Masked
+// elements become +0, the others keep their bits.
 func (r *ReLU) Backward(grad *Tensor) (*Tensor, error) {
 	if len(r.mask) != len(grad.Data) {
 		return nil, fmt.Errorf("nn: relu backward size mismatch")
 	}
-	for i := range grad.Data {
-		if !r.mask[i] {
-			grad.Data[i] = 0
-		}
-	}
+	reluMask(grad.Data, r.mask)
 	return grad, nil
 }
 
@@ -215,6 +271,7 @@ type Dropout struct {
 	Rate float64
 	rng  *rand.Rand
 	mask []float64
+	y    *Tensor // training buffer (see Layer)
 }
 
 // NewDropout builds a dropout layer with its own seeded RNG stream.
@@ -231,19 +288,19 @@ func (d *Dropout) Forward(x *Tensor, train bool) (*Tensor, error) {
 		d.mask = nil
 		return x, nil
 	}
-	y := x.Clone()
+	y := layerBuf(&d.y, true, x.Shape...)
 	if cap(d.mask) < len(y.Data) {
 		d.mask = make([]float64, len(y.Data))
 	}
 	d.mask = d.mask[:len(y.Data)]
 	scale := 1 / (1 - d.Rate)
-	for i := range y.Data {
+	for i, v := range x.Data {
 		if d.rng.Float64() < d.Rate {
 			d.mask[i] = 0
 			y.Data[i] = 0
 		} else {
 			d.mask[i] = scale
-			y.Data[i] *= scale
+			y.Data[i] = v * scale
 		}
 	}
 	return y, nil
@@ -305,7 +362,7 @@ func (s *Sequential) Forward(x *Tensor, train bool) (*Tensor, error) {
 	for i := 0; i < len(s.Layers); i++ {
 		if f, ok := s.Layers[i].(epilogueFuser); ok && i+1 < len(s.Layers) {
 			if act, ok := s.Layers[i+1].(fusedActivation); ok {
-				x, err = f.forward(x, act)
+				x, err = f.forward(x, act, train)
 				if err != nil {
 					return nil, fmt.Errorf("layer %d: %w", i, err)
 				}

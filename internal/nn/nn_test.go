@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -732,27 +733,61 @@ func TestEvaluateMatchesTrainLossOnFixedModel(t *testing.T) {
 	}
 }
 
-func TestDatasetSplitDisjointAndComplete(t *testing.T) {
-	x := NewTensor(10, 1)
-	y := NewTensor(10, 1)
-	for i := 0; i < 10; i++ {
+// rowRecorder is a parameter-free model over [N, 1] inputs that records
+// the input values of its training and inference forwards.
+type rowRecorder struct{ train, eval []float64 }
+
+func (r *rowRecorder) Forward(x *Tensor, train bool) (*Tensor, error) {
+	if train {
+		r.train = append(r.train, x.Data...)
+	} else {
+		r.eval = append(r.eval, x.Data...)
+	}
+	return NewTensor(x.Shape[0], 1), nil
+}
+
+func (r *rowRecorder) Backward(*Tensor) error { return nil }
+func (r *rowRecorder) Params() []*Param       { return nil }
+
+// TestTrainSplitRows pins the rows Train trains and validates on: a
+// seeded permutation (Seed) holds out its first ValFrac for validation,
+// walked in permutation order, and each epoch visits the rest in a
+// second seeded permutation (Seed+1) of that remainder. The two parts
+// are disjoint and together cover every row.
+func TestTrainSplitRows(t *testing.T) {
+	const n, seed = 10, 42
+	x := NewTensor(n, 1)
+	for i := range x.Data {
 		x.Data[i] = float64(i)
 	}
-	tr, va, err := Dataset{X: x, Y: y}.Split(0.3, 42)
+	rec := &rowRecorder{}
+	opt, err := NewSGD(0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 7 || va.Len() != 3 {
-		t.Fatalf("split sizes %d/%d", tr.Len(), va.Len())
+	cfg := TrainConfig{Epochs: 1, BatchSize: 4, ValFrac: 0.3, Seed: seed}
+	if _, err := Train(rec, Dataset{X: x, Y: NewTensor(n, 1)}, MSE{}, opt, cfg); err != nil {
+		t.Fatal(err)
+	}
+	perm := rand.New(rand.NewSource(seed)).Perm(n)
+	var wantVal, wantTrain []float64
+	for _, i := range perm[:3] {
+		wantVal = append(wantVal, float64(i))
+	}
+	for _, j := range rand.New(rand.NewSource(seed + 1)).Perm(n - 3) {
+		wantTrain = append(wantTrain, float64(perm[3+j]))
+	}
+	if !slices.Equal(rec.eval, wantVal) {
+		t.Errorf("validation rows %v, want %v", rec.eval, wantVal)
+	}
+	if !slices.Equal(rec.train, wantTrain) {
+		t.Errorf("training rows %v, want %v", rec.train, wantTrain)
 	}
 	seen := map[float64]int{}
-	for _, v := range tr.X.Data {
+	for _, v := range append(slices.Clone(rec.train), rec.eval...) {
 		seen[v]++
 	}
-	for _, v := range va.X.Data {
-		seen[v]++
-	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		if seen[float64(i)] != 1 {
 			t.Fatalf("example %d appears %d times", i, seen[float64(i)])
 		}

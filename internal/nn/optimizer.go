@@ -123,17 +123,32 @@ func (a *Adam) Step(params []*Param) error {
 			a.m[p] = m
 			a.v[p] = NewTensor(p.W.Shape...)
 		}
-		v := a.v[p]
-		w, gd, md, vd := p.W.Data, p.Grad.Data, m.Data, v.Data
-		for i := range w {
-			g := gd[i]
-			md[i] = a.Beta1*md[i] + (1-a.Beta1)*g
-			vd[i] = a.Beta2*vd[i] + (1-a.Beta2)*g*g
-			w[i] -= step * md[i] / (math.Sqrt(vd[i]*invBC2) + a.Eps)
-		}
+		adamUpdate(p.W.Data, p.Grad.Data, m.Data, a.v[p].Data, adamCoef{
+			b1: a.Beta1, c1: 1 - a.Beta1, b2: a.Beta2, c2: 1 - a.Beta2,
+			step: step, invBC2: invBC2, eps: a.Eps,
+		})
 		p.Grad.Zero()
 	}
 	return nil
+}
+
+// adamCoef holds one Adam step's per-element coefficients: the moment
+// decays b1, b2 and their complements c1 = 1-b1, c2 = 1-b2, the
+// bias-corrected step size, the second-moment scale 1/(1-b2^t), and eps.
+type adamCoef struct {
+	b1, c1, b2, c2, step, invBC2, eps float64
+}
+
+// adamUpdateGo is the Adam update of parameters w with gradients g and
+// moments m, v, element by element. The AVX2 kernel in gemm_amd64.s
+// computes each element with the same operations in the same grouping.
+func adamUpdateGo(w, g, m, v []float64, k adamCoef) {
+	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
+	for i, gi := range g {
+		m[i] = k.b1*m[i] + k.c1*gi
+		v[i] = k.b2*v[i] + k.c2*gi*gi
+		w[i] -= k.step * m[i] / (math.Sqrt(v[i]*k.invBC2) + k.eps)
+	}
 }
 
 // ClipGradients scales all gradients down so the global max-abs does not

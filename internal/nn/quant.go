@@ -63,12 +63,12 @@ func (d *QDense) grow(m int) {
 
 // Forward implements Layer.
 func (d *QDense) Forward(x *Tensor, train bool) (*Tensor, error) {
-	return d.forward(x, nil)
+	return d.forward(x, nil, false)
 }
 
 // forward implements epilogueFuser so Sequential fuses a following ReLU
 // or Tanh into the dequantization pass, mirroring Dense.
-func (d *QDense) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
+func (d *QDense) forward(x *Tensor, act fusedActivation, _ bool) (*Tensor, error) {
 	if len(x.Shape) != 2 || x.Shape[1] != d.In {
 		return nil, fmt.Errorf("nn: qdense expects [N,%d], got %v", d.In, x.Shape)
 	}
@@ -137,12 +137,12 @@ func NewQConv2D(c *Conv2D) (*QConv2D, error) {
 
 // Forward implements Layer.
 func (c *QConv2D) Forward(x *Tensor, train bool) (*Tensor, error) {
-	return c.forward(x, nil)
+	return c.forward(x, nil, false)
 }
 
 // forward implements epilogueFuser, applying a fused activation to the
 // output while it is cache-hot, mirroring Conv2D.
-func (c *QConv2D) forward(x *Tensor, act fusedActivation) (*Tensor, error) {
+func (c *QConv2D) forward(x *Tensor, act fusedActivation, _ bool) (*Tensor, error) {
 	src := c.src
 	if len(x.Shape) != 4 || x.Shape[1] != src.InC {
 		return nil, fmt.Errorf("nn: qconv2d expects [N,%d,H,W], got %v", src.InC, x.Shape)

@@ -48,19 +48,6 @@ func rowVol(t *Tensor) int {
 	return v
 }
 
-// Subset copies the selected example indexes into a new dataset. An empty
-// index list yields an empty dataset (Len() == 0).
-func (d Dataset) Subset(idx []int) Dataset {
-	if len(idx) == 0 {
-		return Dataset{}
-	}
-	xs := append([]int{len(idx)}, d.X.Shape[1:]...)
-	ys := append([]int{len(idx)}, d.Y.Shape[1:]...)
-	out := Dataset{X: NewTensor(xs...), Y: NewTensor(ys...)}
-	d.gatherInto(idx, out)
-	return out
-}
-
 // gatherInto copies the selected rows into out's preallocated tensors.
 func (d Dataset) gatherInto(idx []int, out Dataset) {
 	xv, yv := rowVol(d.X), rowVol(d.Y)
@@ -94,21 +81,6 @@ func (b batchScratch) batch(d Dataset, idx []int) Dataset {
 	}
 	d.gatherInto(idx, out)
 	return out
-}
-
-// Split divides the dataset into train and validation parts after a seeded
-// shuffle, with valFrac of examples going to validation.
-func (d Dataset) Split(valFrac float64, seed int64) (train, val Dataset, err error) {
-	if err := d.Validate(); err != nil {
-		return Dataset{}, Dataset{}, err
-	}
-	if valFrac < 0 || valFrac >= 1 {
-		return Dataset{}, Dataset{}, fmt.Errorf("nn: valFrac must be in [0,1), got %g", valFrac)
-	}
-	n := d.Len()
-	idx := rand.New(rand.NewSource(seed)).Perm(n)
-	nv := int(float64(n) * valFrac)
-	return d.Subset(idx[nv:]), d.Subset(idx[:nv]), nil
 }
 
 // TrainConfig controls a training run.
@@ -190,20 +162,29 @@ func Train(model Model, data Dataset, loss Loss, opt Optimizer, cfg TrainConfig)
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
 		return h, fmt.Errorf("nn: epochs and batch size must be positive")
 	}
-	train, val, err := data.Split(cfg.ValFrac, cfg.Seed)
-	if err != nil {
+	if err := data.Validate(); err != nil {
 		return h, err
 	}
-	if train.Len() == 0 {
+	if cfg.ValFrac < 0 || cfg.ValFrac >= 1 {
+		return h, fmt.Errorf("nn: valFrac must be in [0,1), got %g", cfg.ValFrac)
+	}
+	// A seeded permutation holds out the first ValFrac of the rows for
+	// validation. Batches gather straight from data through these index
+	// lists, so no copy of either part is made.
+	perm := rand.New(rand.NewSource(cfg.Seed)).Perm(data.Len())
+	nv := int(float64(len(perm)) * cfg.ValFrac)
+	trainRows, valRows := perm[nv:], perm[:nv]
+	if len(trainRows) == 0 {
 		return h, fmt.Errorf("nn: empty training set")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	sinceBest := 0
-	scratch := newBatchScratch(train, min(cfg.BatchSize, train.Len()))
+	scratch := newBatchScratch(data, min(cfg.BatchSize, max(len(trainRows), len(valRows))))
+	rows := make([]int, min(cfg.BatchSize, len(trainRows)))
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		epochStart := time.Now()
-		idx := rng.Perm(train.Len())
+		idx := rng.Perm(len(trainRows))
 		var epochLoss float64
 		var batches int
 		for b := 0; b < len(idx); b += cfg.BatchSize {
@@ -211,7 +192,10 @@ func Train(model Model, data Dataset, loss Loss, opt Optimizer, cfg TrainConfig)
 			if hi > len(idx) {
 				hi = len(idx)
 			}
-			batch := scratch.batch(train, idx[b:hi])
+			for j, k := range idx[b:hi] {
+				rows[j] = trainRows[k]
+			}
+			batch := scratch.batch(data, rows[:hi-b])
 			pred, err := model.Forward(batch.X, true)
 			if err != nil {
 				return h, fmt.Errorf("nn: epoch %d forward: %w", epoch, err)
@@ -234,8 +218,8 @@ func Train(model Model, data Dataset, loss Loss, opt Optimizer, cfg TrainConfig)
 			h.SamplesSeen += hi - b
 		}
 		stats := EpochStats{Epoch: epoch, TrainLoss: epochLoss / float64(batches), ValLoss: math.NaN()}
-		if val.Len() > 0 {
-			vl, err := Evaluate(model, val, loss, cfg.BatchSize)
+		if len(valRows) > 0 {
+			vl, err := evaluate(model, data, valRows, loss, cfg.BatchSize, scratch)
 			if err != nil {
 				return h, err
 			}
@@ -282,19 +266,22 @@ func Evaluate(model Model, data Dataset, loss Loss, batchSize int) (float64, err
 		batchSize = 32
 	}
 	n := data.Len()
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return evaluate(model, data, rows, loss, batchSize, newBatchScratch(data, min(batchSize, n)))
+}
+
+// evaluate is the mean batch loss of model over the given rows of data,
+// in order, batchSize rows at a time through scratch, which must hold
+// min(batchSize, len(rows)) rows.
+func evaluate(model Model, data Dataset, rows []int, loss Loss, batchSize int, scratch batchScratch) (float64, error) {
 	var total float64
 	var batches int
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	scratch := newBatchScratch(data, min(batchSize, n))
-	for b := 0; b < n; b += batchSize {
-		hi := b + batchSize
-		if hi > n {
-			hi = n
-		}
-		batch := scratch.batch(data, idx[b:hi])
+	for b := 0; b < len(rows); b += batchSize {
+		hi := min(b+batchSize, len(rows))
+		batch := scratch.batch(data, rows[b:hi])
 		pred, err := model.Forward(batch.X, false)
 		if err != nil {
 			return 0, err

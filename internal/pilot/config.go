@@ -112,9 +112,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// maxWeights bounds the parameter count Validate accepts: Load builds the
-// model a checkpoint's config names before reading any weight. 1<<25
-// (256 MiB of float64) fits E14's 21.6M-weight trunk, the repo's largest.
+// maxWeights bounds the parameter count Validate accepts, so no config
+// builds an absurd model, and its weight count cannot overflow. Load also
+// refuses a config whose count differs from the checkpoint's stored
+// tensors before building anything. 1<<25 (256 MiB of float64) fits
+// E14's 21.6M-weight trunk, the repo's largest.
 const maxWeights = 1 << 25
 
 // weights counts the scalars of the architecture c describes from the

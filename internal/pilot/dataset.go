@@ -223,6 +223,28 @@ func (c Config) BuildDataset(samples []Sample) (nn.Dataset, error) {
 	return nn.Dataset{X: x, Y: y}, nil
 }
 
+// DatasetCache holds one sample set's encoding for the config it was
+// last built for, so a run that trains or scores the same samples every
+// round encodes them once. The zero value is empty; one cache serves
+// one sample set.
+type DatasetCache struct {
+	cfg  Config
+	data nn.Dataset
+}
+
+// Get returns samples encoded for cfg, building the dataset on first
+// use and again only when cfg differs from the config it was built for.
+func (c *DatasetCache) Get(cfg Config, samples []Sample) (nn.Dataset, error) {
+	if c.data.X == nil || c.cfg != cfg {
+		data, err := cfg.BuildDataset(samples)
+		if err != nil {
+			return nn.Dataset{}, err
+		}
+		c.cfg, c.data = cfg, data
+	}
+	return c.data, nil
+}
+
 // AugmentFlip doubles a sample set with the classic DonkeyCar
 // augmentation: every frame is mirrored horizontally and its steering
 // (and any steering history) negated. Throttle is unchanged. The returned

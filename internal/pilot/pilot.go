@@ -1,7 +1,6 @@
 package pilot
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -48,6 +47,11 @@ func (p *Pilot) Train(samples []Sample, cfg nn.TrainConfig) (nn.History, error) 
 	if err != nil {
 		return nn.History{}, err
 	}
+	return p.TrainData(data, cfg)
+}
+
+// TrainData is Train on samples already encoded by Cfg.BuildDataset.
+func (p *Pilot) TrainData(data nn.Dataset, cfg nn.TrainConfig) (nn.History, error) {
 	opt, err := nn.NewAdam(1e-3)
 	if err != nil {
 		return nn.History{}, err
@@ -67,6 +71,12 @@ func (p *Pilot) Validate(samples []Sample, batchSize int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return p.ValidateData(data, batchSize)
+}
+
+// ValidateData is Validate on samples already encoded by
+// Cfg.BuildDataset.
+func (p *Pilot) ValidateData(data nn.Dataset, batchSize int) (float64, error) {
 	return nn.Evaluate(p.model, data, p.loss, batchSize)
 }
 
@@ -163,17 +173,16 @@ func (p *Pilot) Save(w io.Writer) error {
 }
 
 // Load reads a checkpoint, rebuilding the architecture from the stored
-// config and restoring weights.
+// config and restoring weights. The stream is decoded once, and a config
+// whose weight count differs from the stored tensors' is refused before
+// its model is built: an untrusted checkpoint costs its own size, not
+// the size of the model it names.
 func Load(r io.Reader) (*Pilot, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("pilot: load: %w", err)
-	}
-	meta, err := nn.LoadMeta(bytes.NewReader(data))
+	ckpt, err := nn.ReadCheckpoint(r)
 	if err != nil {
 		return nil, err
 	}
-	cfgStr, ok := meta["config"]
+	cfgStr, ok := ckpt.Meta["config"]
 	if !ok {
 		return nil, fmt.Errorf("pilot: checkpoint has no config")
 	}
@@ -181,11 +190,17 @@ func Load(r io.Reader) (*Pilot, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if stored := ckpt.Weights(); float64(stored) != cfg.weights() {
+		return nil, fmt.Errorf("pilot: checkpoint stores %d weights, its %s config names %.0f", stored, cfg.Kind, cfg.weights())
+	}
 	p, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := nn.LoadParams(bytes.NewReader(data), paramsOf(p.model)); err != nil {
+	if err := ckpt.Restore(paramsOf(p.model)); err != nil {
 		return nil, err
 	}
 	return p, nil

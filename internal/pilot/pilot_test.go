@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -287,8 +289,7 @@ func forgedCheckpoint(t testing.TB, cfg string) []byte {
 // Load allocates, so one naming a huge architecture must be refused
 // before anything is built rather than panic in makeslice.
 func TestLoadRejectsOversizedConfig(t *testing.T) {
-	const rest = `"channels":1,"angle_bins":15,"throttle_bins":20,"seq_len":3,"memory_len":3,` +
-		`"conv_filters_1":8,"conv_filters_2":16,"dense_units":64,"max_throttle":0.55,"min_throttle":0.22`
+	const rest = forgedRest
 	for _, cfg := range []string{
 		`{"kind":"linear","width":1048576,"height":1048576,` + rest + `}`,
 		`{"kind":"inferred","width":24,"height":16,` + rest + `,"dense_units":70368744177664}`,
@@ -300,6 +301,77 @@ func TestLoadRejectsOversizedConfig(t *testing.T) {
 		if _, err := Load(bytes.NewReader(forgedCheckpoint(t, cfg))); err == nil ||
 			!strings.Contains(err.Error(), "budget") {
 			t.Errorf("config %s: got %v, want an over-budget error", cfg, err)
+		}
+	}
+}
+
+// forgedRest completes a forged config's JSON after its kind and size.
+const forgedRest = `"channels":1,"angle_bins":15,"throttle_bins":20,"seq_len":3,"memory_len":3,` +
+	`"conv_filters_1":8,"conv_filters_2":16,"dense_units":64,"max_throttle":0.55,"min_throttle":0.22`
+
+// TestLoadRejectsForgedCheckpointCheaply: a checkpoint whose config
+// names a model within the weight budget (a 15.5M-weight memory pilot,
+// 124 MB of float64) but stores a small model's tensors must be refused
+// for what it is, at about the cost of decoding it once, without
+// building the model it names.
+func TestLoadRejectsForgedCheckpointCheaply(t *testing.T) {
+	cfgJSON := `{"kind":"memory","width":24,"height":16,` + forgedRest + `,"dense_units":3900}`
+	cfg, err := unmarshalConfig(cfgJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := cfg.weights(); w < 15e6 || w > maxWeights {
+		t.Fatalf("forged config names %g weights, want ~15.5M within the budget", w)
+	}
+	data := forgedCheckpoint(t, cfgJSON)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = Load(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged checkpoint loaded")
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 4*uint64(len(data)); got > limit {
+		t.Errorf("rejecting a %d-byte checkpoint allocated %d bytes, want < %d", len(data), got, limit)
+	}
+}
+
+// TestLoadAcceptsRealCheckpoints: the nn golden checkpoint is not a
+// pilot (no config) and must fail cleanly; a saved pilot of every kind
+// loads back with its config and weights.
+func TestLoadAcceptsRealCheckpoints(t *testing.T) {
+	golden, err := os.ReadFile("../nn/testdata/checkpoint_v1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nn.ReadCheckpoint(bytes.NewReader(golden)); err != nil {
+		t.Errorf("golden checkpoint: %v", err)
+	}
+	if _, err := Load(bytes.NewReader(golden)); err == nil || !strings.Contains(err.Error(), "no config") {
+		t.Errorf("golden checkpoint as a pilot: got %v, want a missing-config error", err)
+	}
+	for _, kind := range AllKinds() {
+		p, err := New(testCfg(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		q, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if q.Cfg != p.Cfg {
+			t.Errorf("%s: config %+v loaded as %+v", kind, p.Cfg, q.Cfg)
+		}
+		pp, qp := p.Model().Params(), q.Model().Params()
+		for i := range pp {
+			if !slices.Equal(pp[i].W.Data, qp[i].W.Data) {
+				t.Errorf("%s: param %d differs after load", kind, i)
+			}
 		}
 	}
 }

@@ -40,6 +40,9 @@ type modelEntry struct {
 	object string
 	etag   string
 	pilots []*pilot.Pilot
+	// failed is the ETag of the last object that was fetched but failed
+	// to load; polls skip it until the object changes.
+	failed string
 }
 
 // ModelInfo describes one registered model for the /models endpoint.
@@ -159,7 +162,9 @@ func childCtx(span *obs.Span, sc obs.SpanContext) obs.SpanContext {
 // load fetches the named object once and decodes it into the configured
 // number of independent pilot instances, enabling quantization on each
 // when a mode is set. The store fetch continues sc (the object store
-// emits its own child span when it has a tracer attached).
+// emits its own child span when it has a tracer attached). It returns
+// the fetched object's ETag with a decode or quantize error too, and ""
+// when the fetch itself failed.
 func (r *Registry) load(sc obs.SpanContext, object string) ([]*pilot.Pilot, string, error) {
 	data, info, err := r.store.GetTraced(sc, r.container, object)
 	if err != nil {
@@ -172,11 +177,11 @@ func (r *Registry) load(sc obs.SpanContext, object string) ([]*pilot.Pilot, stri
 	for i := range pilots {
 		p, err := pilot.Load(bytes.NewReader(data))
 		if err != nil {
-			return nil, "", fmt.Errorf("serve: decode %s/%s: %w", r.container, object, err)
+			return nil, info.ETag, fmt.Errorf("serve: decode %s/%s: %w", r.container, object, err)
 		}
 		if quant != "" {
 			if err := p.EnableQuant(quant); err != nil {
-				return nil, "", fmt.Errorf("serve: quantize %s/%s: %w", r.container, object, err)
+				return nil, info.ETag, fmt.Errorf("serve: quantize %s/%s: %w", r.container, object, err)
 			}
 		}
 		pilots[i] = p
@@ -267,7 +272,8 @@ func (r *Registry) Info(name string) (ModelInfo, bool) {
 // PollOnce checks every registered object's ETag and reloads the ones that
 // changed, returning how many models were swapped. A missing or corrupt
 // object leaves the currently served pilot in place and reports the error
-// (serving availability beats freshness).
+// (serving availability beats freshness). A corrupt object is fetched
+// and reported once: later polls skip it until its ETag changes.
 func (r *Registry) PollOnce() (int, error) {
 	return r.PollOnceCtx(obs.SpanContext{})
 }
@@ -278,10 +284,10 @@ func (r *Registry) PollOnce() (int, error) {
 // the serving side hot-swapping it.
 func (r *Registry) PollOnceCtx(sc obs.SpanContext) (int, error) {
 	r.mu.RLock()
-	type target struct{ name, object, etag string }
+	type target struct{ name, object, etag, failed string }
 	targets := make([]target, 0, len(r.models))
 	for n, e := range r.models {
-		targets = append(targets, target{n, e.object, e.etag})
+		targets = append(targets, target{n, e.object, e.etag, e.failed})
 	}
 	metrics := r.metrics
 	tr := r.tracer
@@ -298,7 +304,7 @@ func (r *Registry) PollOnceCtx(sc obs.SpanContext) (int, error) {
 			}
 			continue
 		}
-		if info.ETag == t.etag {
+		if info.ETag == t.etag || info.ETag == t.failed {
 			continue
 		}
 		var span *obs.Span
@@ -311,6 +317,13 @@ func (r *Registry) PollOnceCtx(sc obs.SpanContext) (int, error) {
 			span.EndErr(err)
 			if firstErr == nil {
 				firstErr = fmt.Errorf("serve: reload %s: %w", t.name, err)
+			}
+			if etag != "" {
+				r.mu.Lock()
+				if e, ok := r.models[t.name]; ok && e.object == t.object {
+					e.failed = etag
+				}
+				r.mu.Unlock()
 			}
 			continue
 		}

@@ -411,6 +411,48 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	}
 }
 
+// TestPollSkipsFailedObject: a corrupt object is fetched and decoded
+// once, reported by that poll, and skipped by later polls until its ETag
+// changes; a good object put afterwards reloads.
+func TestPollSkipsFailedObject(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PollInterval = 0
+	env := newTestEnv(t, cfg)
+	var mu sync.Mutex
+	gets := 0
+	env.store.SetFaultHook(func(op, _, _ string) error {
+		if op == "get" {
+			mu.Lock()
+			gets++
+			mu.Unlock()
+		}
+		return nil
+	})
+	if _, err := env.store.Put(testContainer, testObject, []byte("not a checkpoint"), nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		n, err := env.reg.PollOnce()
+		if n != 0 {
+			t.Errorf("poll %d reloaded %d models from a corrupt object", i, n)
+		}
+		if i == 0 && err == nil {
+			t.Error("the first poll of a corrupt object reported no error")
+		}
+	}
+	mu.Lock()
+	if gets != 1 {
+		t.Errorf("three polls of one corrupt object fetched it %d times, want 1", gets)
+	}
+	mu.Unlock()
+	if _, err := env.store.Put(testContainer, testObject, checkpointBytes(t, testPilot(t, 99)), nil); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := env.reg.PollOnce(); n != 1 || err != nil {
+		t.Errorf("poll after a good put = (%d, %v), want (1, nil)", n, err)
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PollInterval = 0
